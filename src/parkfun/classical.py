@@ -1,33 +1,23 @@
 """The classical parking process.
 
 Cars 1..n enter in order; car i drives to its preferred spot and parks in
-the first unoccupied spot at or after it, or fails if none exists.
+the first unoccupied spot at or after it, or fails if none exists. This is
+the friendship process with every car a friend of every other, and it runs
+on the same kernel.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from .core import Failure, ParkingPreference, ParkOutcome
+from .friendship import _park
 
-from .core import Failure, ParkingPreference, ParkOutcome, Permutation, Success
 
+def _all_friends(n: int) -> tuple[frozenset[int], ...]:
+    """Friend sets that make the friendship process the classical one.
 
-def _simulate(entries: Sequence[int], n: int) -> tuple[list[int], int]:
-    """Run the process on a raw entry vector.
-
-    Returns (spot_of_car, 0) on success, where spot_of_car is 1-indexed with
-    a dummy cell 0, or ([], car) for the first car that cannot park.
+    One shared set for every car, so the cost stays O(n) at any size.
     """
-    occupied = [False] * (n + 1)
-    spot_of_car = [0] * (n + 1)
-    for car in range(1, n + 1):
-        k = entries[car - 1]
-        while k <= n and occupied[k]:
-            k += 1
-        if k > n:
-            return [], car
-        occupied[k] = True
-        spot_of_car[car] = k
-    return spot_of_car, 0
+    return (frozenset(range(1, n + 1)),) * (n + 1)
 
 
 def classical_park(p: ParkingPreference) -> ParkOutcome:
@@ -36,15 +26,7 @@ def classical_park(p: ParkingPreference) -> ParkOutcome:
     >>> classical_park(ParkingPreference((3, 1, 1, 2))).outcome.word
     (2, 3, 1, 4)
     """
-    n = p.n
-    spot_of_car, failed = _simulate(p.entries, n)
-    if failed:
-        return Failure(failed)
-    word = [0] * n
-    for car in range(1, n + 1):
-        word[spot_of_car[car] - 1] = car
-    displacement = tuple(spot_of_car[car] - p.entries[car - 1] for car in range(1, n + 1))
-    return Success(Permutation(tuple(word)), displacement)
+    return _park(p.entries, p.n, _all_friends(p.n))
 
 
 def is_parking_function(p: ParkingPreference) -> bool:

@@ -49,6 +49,7 @@ from .structure import (
     NotHamiltonianPath,
     enumerate_fibre,
     fibre_characterisation,
+    fibre_size,
     fig4_graph,
     total_fpf_count,
 )
@@ -159,9 +160,7 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
             say(f"S_{car} = {format_interval(lo, hi)}")
         return inputs, {"spot_sets": [list(s) for s in chi.spot_sets]}, 0
     if mode == "count":
-        size = 1
-        for lo, hi in chi.spot_sets:
-            size *= hi - lo + 1
+        size = fibre_size(perm, graph)
         say(f"fibre size: {size}")
         return inputs, {"fibre_size": size}, 0
     prefs = [list(p.entries) for p in enumerate_fibre(perm, graph)]
@@ -175,6 +174,8 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
     mode = "brute" if args.brute else "both" if args.both else "formula"
     if args.list and mode == "formula":
         raise UsageError("--list needs --brute or --both")
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     if args.target == "fpf":
         if args.graph is None:
             raise UsageError("count fpf needs a graph (-g)")
@@ -201,7 +202,7 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
 
     if mode in ("formula", "both"):
         if args.target == "fpf":
-            if args.graph.startswith("cycle:"):
+            if n >= 3 and graph == graph_generator("cycle", n):
                 formula = cycle_total_count(n)
             else:
                 formula = total_fpf_count(graph)

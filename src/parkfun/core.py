@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
+def _require_ints(values: tuple, what: str) -> None:
+    """Reject anything but plain ints; bool and float are not labels."""
+    if list(map(type, values)).count(int) != len(values):
+        idx, bad = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
+
+
 @dataclass(frozen=True)
 class ParkingPreference:
     """A vector of preferred spots, one entry per car, each in [1, n].
@@ -28,6 +35,7 @@ class ParkingPreference:
         n = len(self.entries)
         if n == 0:
             raise ValueError("preference must have at least one entry")
+        _require_ints(self.entries, "entry")
         for idx, e in enumerate(self.entries, start=1):
             if not 1 <= e <= n:
                 raise ValueError(f"entry {e} at position {idx} is outside [1, {n}]")
@@ -58,6 +66,7 @@ class Permutation:
         n = len(self.word)
         if n == 0:
             raise ValueError("permutation must be non-empty")
+        _require_ints(self.word, "value")
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of [1, {n}]")
 
@@ -103,16 +112,20 @@ class FriendshipGraph:
     )
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canonical = set()
         for e in self.edges:
             u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             for w in (u, v):
+                if type(w) is not int:
+                    raise ValueError(f"vertex {w!r} is not an integer")
                 if not 1 <= w <= self.n:
                     raise ValueError(f"vertex {w} is outside [1, {self.n}]")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
         nbr = [set() for _ in range(self.n + 1)]

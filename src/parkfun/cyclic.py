@@ -10,16 +10,14 @@ map to inversion numbers under this correspondence.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
-from .classical import _simulate, classical_park
-from .core import ParkingPreference, Permutation, Success
+from .classical import _all_friends, classical_park
+from .core import ParkingPreference, Permutation, Success, _require_ints
 from .cycle import increasing_word
-from .limits import ensure_within_cap
+from .friendship import _sweep
 from .notation import format_word_compact
 
 
@@ -39,6 +37,7 @@ class InversionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        _require_ints(self.entries, "entry")
         for idx, a in enumerate(self.entries, start=1):
             if not 0 <= a < idx:
                 raise ValueError(f"entry {a} at position {idx} must lie in [0, {idx - 1}]")
@@ -225,42 +224,22 @@ def psi_inverse(c: Component) -> ParkingPreference:
     return ParkingPreference(tuple(entries))
 
 
+def _cyclic_sweep(n: int, force: bool, workers: int = 1) -> Iterator[tuple[int, ...]]:
+    """Entries of every cyclic preference of length n, lexicographically."""
+    for entries, word in _sweep(n, _all_friends(n), force, workers):
+        if word == increasing_word(word[0], n):
+            yield entries
+
+
 def enumerate_cyclic_pf(n: int, *, force: bool = False) -> Iterator[ParkingPreference]:
     """All cyclic parking functions of length n, lexicographically.
 
     Exhaustive sweep over [n]^n, subject to the brute-force cap.
     """
-    ensure_within_cap(n ** n, force)
-    for entries in itertools.product(range(1, n + 1), repeat=n):
-        spot_of_car, failed = _simulate(entries, n)
-        if failed:
-            continue
-        i = spot_of_car.index(1)  # car parked in spot 1
-        target = increasing_word(i, n)
-        if all(spot_of_car[target[s]] == s + 1 for s in range(n)):
-            yield ParkingPreference(entries)
-
-
-def _cyclic_shard(payload) -> int:
-    n, first = payload
-    count = 0
-    for rest in itertools.product(range(1, n + 1), repeat=n - 1):
-        entries = (first, *rest)
-        spot_of_car, failed = _simulate(entries, n)
-        if failed:
-            continue
-        i = spot_of_car.index(1)
-        target = increasing_word(i, n)
-        if all(spot_of_car[target[s]] == s + 1 for s in range(n)):
-            count += 1
-    return count
+    for entries in _cyclic_sweep(n, force):
+        yield ParkingPreference(entries)
 
 
 def count_cyclic_brute(n: int, *, force: bool = False, workers: int = 1) -> int:
     """Number of cyclic parking functions by exhaustive simulation."""
-    ensure_within_cap(n ** n, force)
-    if workers <= 1:
-        return sum(1 for _ in enumerate_cyclic_pf(n, force=True))
-    payloads = [(n, first) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_cyclic_shard, payloads))
+    return sum(1 for _ in _cyclic_sweep(n, force, workers))

@@ -1,14 +1,19 @@
-"""The friendship parking process.
+"""The friendship parking process, and the one simulation kernel.
 
 Cars follow the classical rules, but a spot only counts as available when
 each occupied neighbouring spot holds a car adjacent to the arriving car in
 the friendship graph. The boundary spots 0 and n+1 are treated as
-permanently unoccupied.
+permanently unoccupied. The classical process is the case where every car
+is a friend of every other, so `_run` simulates both.
+
+`_sweep` is the one exhaustive sweep of [n]^n: every brute-force count and
+listing, here, in `cyclic` and in `verify`, is a filter over its stream.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -20,7 +25,6 @@ from .core import (
     ParkOutcome,
     Permutation,
     Success,
-    make_graph,
 )
 from .limits import ensure_within_cap
 
@@ -98,61 +102,92 @@ def is_available(state: LotState, graph: FriendshipGraph, car: int, spot: int) -
     return _spot_available(_padded(state), graph.neighbors(car), spot)
 
 
-def _run(entries: Sequence[int], n: int, neighbor_sets) -> tuple[list[int], int]:
-    """Raw simulation; mirrors classical._simulate but with availability."""
+def _run(entries: Sequence[int], n: int, neighbor_sets) -> tuple[int, ...] | int:
+    """Park cars 1..n in order: the one simulation kernel.
+
+    `neighbor_sets[car]` is the friend set of `car`. Returns the outcome word
+    read off the lot (the car in each spot) or, when a car cannot park, that
+    car's label. The availability test is inlined in the scan on purpose:
+    this loop is the hot path of every sweep.
+    """
     occ = [0] * (n + 2)
-    spot_of_car = [0] * (n + 1)
     for car in range(1, n + 1):
         friends = neighbor_sets[car]
         k = entries[car - 1]
-        placed = False
         while k <= n:
             if not occ[k]:
                 left, right = occ[k - 1], occ[k + 1]
                 if (not left or left in friends) and (not right or right in friends):
                     occ[k] = car
-                    spot_of_car[car] = k
-                    placed = True
                     break
             k += 1
-        if not placed:
-            return [], car
-    return spot_of_car, 0
+        else:
+            return car
+    return tuple(occ[1 : n + 1])
+
+
+def _park(entries: Sequence[int], n: int, neighbor_sets) -> ParkOutcome:
+    """Run the kernel and build the public outcome, with displacements."""
+    word = _run(entries, n, neighbor_sets)
+    if isinstance(word, int):
+        return Failure(word)
+    spot_of_car = [0] * (n + 1)
+    for spot, car in enumerate(word, start=1):
+        spot_of_car[car] = spot
+    displacement = tuple(spot_of_car[car] - entries[car - 1] for car in range(1, n + 1))
+    return Success(Permutation(word), displacement)
 
 
 def friendship_park(p: ParkingPreference, graph: FriendshipGraph) -> ParkOutcome:
     """Simulate the friendship process for `p` on `graph`."""
-    n = p.n
-    if graph.n != n:
-        raise ValueError(f"preference has {n} cars but the graph has {graph.n} vertices")
-    spot_of_car, failed = _run(p.entries, n, graph._neighbors)
-    if failed:
-        return Failure(failed)
-    word = [0] * n
-    for car in range(1, n + 1):
-        word[spot_of_car[car] - 1] = car
-    displacement = tuple(spot_of_car[car] - p.entries[car - 1] for car in range(1, n + 1))
-    return Success(Permutation(tuple(word)), displacement)
+    if graph.n != p.n:
+        raise ValueError(f"preference has {p.n} cars but the graph has {graph.n} vertices")
+    return _park(p.entries, p.n, graph._neighbors)
 
 
 def is_friendship_pf(p: ParkingPreference, graph: FriendshipGraph) -> bool:
     return isinstance(friendship_park(p, graph), Success)
 
 
-def _graph_payload(graph: FriendshipGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    return graph.n, tuple(sorted(graph.edges))
+def _passing(
+    n: int, neighbor_sets, firsts: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(entries, outcome word) for every passing preference whose first entry
+    lies in `firsts`, lexicographically."""
+    spots = range(1, n + 1)
+    for entries in itertools.product(firsts, *[spots] * (n - 1)):
+        word = _run(entries, n, neighbor_sets)
+        if not isinstance(word, int):
+            yield entries, word
 
 
-def _fpf_shard(payload) -> list[tuple[int, ...]]:
-    """Worker: all passing preferences with a fixed first entry, in lex order."""
-    n, edges, first = payload
-    nbr = make_graph(n, edges)._neighbors
-    found = []
-    for rest in itertools.product(range(1, n + 1), repeat=n - 1):
-        entries = (first, *rest)
-        if not _run(entries, n, nbr)[1]:
-            found.append(entries)
-    return found
+def _shard(n: int, neighbor_sets, first: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Worker: the part of the sweep whose first entry is `first`."""
+    return list(_passing(n, neighbor_sets, (first,)))
+
+
+def _sweep(
+    n: int, neighbor_sets, force: bool = False, workers: int = 1
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The exhaustive sweep of [n]^n behind every brute-force count and listing.
+
+    Yields (entries, outcome word) for every preference on which all cars
+    park, in lexicographic order. The cap applies to the nominal n^n. With
+    more than one worker the sweep is sharded by first entry and merged back
+    in order, so the stream is identical for any worker count; the pool
+    never exceeds n shards or the machine's cores.
+    """
+    ensure_within_cap(n ** n, force)
+    workers = min(workers, n, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from _passing(n, neighbor_sets, range(1, n + 1))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        shards = pool.map(
+            _shard, itertools.repeat(n), itertools.repeat(neighbor_sets), range(1, n + 1)
+        )
+        for shard in shards:
+            yield from shard
 
 
 def enumerate_fpf(
@@ -161,59 +196,24 @@ def enumerate_fpf(
     """All friendship parking functions for `graph`, lexicographically.
 
     Brute-force sweep over [n]^n, refused above the configured cap unless
-    `force` is set. With workers > 1 the sweep is sharded by first entry and
-    merged back in order, so the stream is identical for any worker count.
+    `force` is set; any worker count gives the same stream.
     """
-    n = graph.n
-    ensure_within_cap(n ** n, force)
-    if workers <= 1:
-        nbr = graph._neighbors
-        for entries in itertools.product(range(1, n + 1), repeat=n):
-            if not _run(entries, n, nbr)[1]:
-                yield ParkingPreference(entries)
-        return
-    gn, edges = _graph_payload(graph)
-    payloads = [(gn, edges, first) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for shard in pool.map(_fpf_shard, payloads):
-            for entries in shard:
-                yield ParkingPreference(entries)
+    for entries, _ in _sweep(graph.n, graph._neighbors, force, workers):
+        yield ParkingPreference(entries)
 
 
 def count_fpf_brute(
     graph: FriendshipGraph, *, force: bool = False, workers: int = 1
 ) -> int:
     """Number of friendship parking functions, by exhaustive simulation."""
-    n = graph.n
-    ensure_within_cap(n ** n, force)
-    if workers <= 1:
-        nbr = graph._neighbors
-        return sum(
-            1
-            for entries in itertools.product(range(1, n + 1), repeat=n)
-            if not _run(entries, n, nbr)[1]
-        )
-    gn, edges = _graph_payload(graph)
-    payloads = [(gn, edges, first) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(len(shard) for shard in pool.map(_fpf_shard, payloads))
+    return sum(1 for _ in _sweep(graph.n, graph._neighbors, force, workers))
 
 
 def brute_fibre_counts(
     graph: FriendshipGraph, *, force: bool = False
 ) -> dict[tuple[int, ...], int]:
     """Outcome word -> number of preferences reaching it, by one full sweep."""
-    n = graph.n
-    ensure_within_cap(n ** n, force)
-    nbr = graph._neighbors
     counts: dict[tuple[int, ...], int] = {}
-    for entries in itertools.product(range(1, n + 1), repeat=n):
-        spot_of_car, failed = _run(entries, n, nbr)
-        if failed:
-            continue
-        word = [0] * n
-        for car in range(1, n + 1):
-            word[spot_of_car[car] - 1] = car
-        key = tuple(word)
-        counts[key] = counts.get(key, 0) + 1
+    for _, word in _sweep(graph.n, graph._neighbors, force):
+        counts[word] = counts.get(word, 0) + 1
     return counts

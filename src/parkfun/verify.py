@@ -14,12 +14,11 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from . import cyclic as cyc
-from .classical import classical_park, is_parking_function
+from .classical import _all_friends, classical_park, is_parking_function
 from .core import (
     FriendshipGraph,
     ParkingPreference,
     Permutation,
-    Success,
     all_labelled_graphs,
     graph_generator,
     make_graph,
@@ -32,9 +31,8 @@ from .cycle import (
     cyclic_outcomes,
     decreasing_word,
     expand_cyclic,
-    increasing_word,
 )
-from .friendship import _run, friendship_park, is_friendship_pf
+from .friendship import _sweep
 from .limits import ensure_within_cap
 from .structure import (
     blocking_sequence,
@@ -42,7 +40,6 @@ from .structure import (
     fibre_size,
     hamiltonian_paths,
     has_hamiltonian_path,
-    is_hamiltonian_path,
     total_fpf_count,
 )
 
@@ -64,17 +61,9 @@ class CheckResult:
 
 def _brute_fibres(graph: FriendshipGraph) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
     """Outcome word -> set of preferences reaching it, by full simulation."""
-    n = graph.n
-    nbr = graph._neighbors
     fibres: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for entries in itertools.product(range(1, n + 1), repeat=n):
-        spot_of_car, failed = _run(entries, n, nbr)
-        if failed:
-            continue
-        word = [0] * n
-        for car in range(1, n + 1):
-            word[spot_of_car[car] - 1] = car
-        fibres.setdefault(tuple(word), set()).add(entries)
+    for entries, word in _sweep(graph.n, graph._neighbors, force=True):
+        fibres.setdefault(word, set()).add(entries)
     return fibres
 
 
@@ -103,6 +92,7 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
     for n in n_values:
         graphs, corpus_note = _graph_corpus(n)
         ensure_within_cap(len(graphs) * n ** n, force)
+        classical_words = dict(_sweep(n, _all_friends(n), force=True))
         subset_bad: list[str] = []
         nonempty_bad: list[str] = []
         transfer_bad: list[str] = []
@@ -121,15 +111,15 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             ):
                 nonempty_bad.append(f"{sorted(graph.edges)}")
 
-            for entries in itertools.product(range(1, n + 1), repeat=n):
-                res = classical_park(ParkingPreference(entries))
-                if isinstance(res, Success) and is_hamiltonian_path(res.outcome, graph):
-                    fres = friendship_park(ParkingPreference(entries), graph)
-                    if not isinstance(fres, Success) or fres.outcome != res.outcome:
-                        transfer_bad.append(f"{entries} on {sorted(graph.edges)}")
+            paths = list(hamiltonian_paths(graph))
+            path_words = {pi.word for pi in paths}
+            friendship_words = {e: word for word, fibre in fibres.items() for e in fibre}
+            for entries, word in classical_words.items():
+                if word in path_words and friendship_words.get(entries) != word:
+                    transfer_bad.append(f"{entries} on {sorted(graph.edges)}")
 
             seen: set[tuple[int, ...]] = set()
-            for pi in hamiltonian_paths(graph):
+            for pi in paths:
                 box = {p.entries for p in enumerate_fibre(pi, graph)}
                 if box != fibres.get(pi.word, set()):
                     partition_bad.append(f"fibre of {pi.word} on {sorted(graph.edges)}")
@@ -155,15 +145,15 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
 
         if n >= 4:
             cn = graph_generator("cycle", n)
-            witness = None
-            for entries in itertools.product(range(1, n + 1), repeat=n):
-                p = ParkingPreference(entries)
-                if not is_friendship_pf(p, cn):
-                    continue
-                res = classical_park(p)
-                if not (isinstance(res, Success) and is_hamiltonian_path(res.outcome, cn)):
-                    witness = entries
-                    break
+            cn_paths = {pi.word for pi in hamiltonian_paths(cn)}
+            witness = next(
+                (
+                    entries
+                    for entries, _ in _sweep(n, cn._neighbors, force=True)
+                    if classical_words.get(entries) not in cn_paths
+                ),
+                None,
+            )
             results.append(
                 CheckResult(
                     f"friendship-beyond-hamiltonian-outcomes C_{n}",
@@ -436,15 +426,12 @@ def n3_reference_rows() -> list[tuple]:
     displacement, host permutation and marked component, grouped by rotation
     start and then lexicographic."""
     rows = []
-    for start in range(1, 4):
-        target = increasing_word(start, 3)
-        for entries in itertools.product(range(1, 4), repeat=3):
-            p = ParkingPreference(entries)
-            res = classical_park(p)
-            if not isinstance(res, Success) or res.outcome.word != target:
-                continue
-            c = cyc.psi(p)
-            rows.append((target, entries, res.displacement, c.underlying.word, c.start))
+    for p in cyc.enumerate_cyclic_pf(3, force=True):
+        res = classical_park(p)
+        c = cyc.psi(p)
+        rows.append((res.outcome.word, p.entries, res.displacement, c.underlying.word, c.start))
+    # Stable, so each rotation keeps the sweep's lexicographic order.
+    rows.sort(key=lambda row: row[0][0])
     return rows
 
 

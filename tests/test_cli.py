@@ -1,6 +1,7 @@
 import io
 import json
 
+from parkfun import cli
 from parkfun.cli import main
 from parkfun.report import validate_report
 
@@ -150,6 +151,26 @@ class TestCount:
         code, out, _ = run(capsys, "count", "fpf", "-g", "path:4", "--both")
         assert code == 0
         assert "match: yes" in out
+
+    def test_cycle_file_uses_cycle_closed_form(self, capsys, tmp_path, monkeypatch):
+        n = 12
+        path = tmp_path / "cycle.graph"
+        path.write_text(f"n {n}\n" + "".join(f"{v % n + 1} {v}\n" for v in range(1, n + 1)))
+
+        def general_sum(graph):
+            raise AssertionError("the cycle graph has a closed form")
+
+        monkeypatch.setattr(cli, "total_fpf_count", general_sum)
+        code, by_spec, _ = run(capsys, "count", "fpf", "-g", f"cycle:{n}")
+        assert code == 0
+        code, by_file, _ = run(capsys, "count", "fpf", "-g", f"file:{path}")
+        assert code == 0
+        assert by_file == by_spec == f"formula: {cli.cycle_total_count(n)}\n"
+
+    def test_workers_below_one_refused(self, capsys):
+        code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute", "--workers", "0")
+        assert code == 2
+        assert "--workers" in err
 
     def test_list_requires_brute(self, capsys):
         code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--formula", "--list")

@@ -36,6 +36,11 @@ class TestMakePreference:
         with pytest.raises(ValueError):
             make_preference(())
 
+    @pytest.mark.parametrize("entries", [(1.0, 2.0), (True, True), (1, "2")])
+    def test_non_int_entries(self, entries):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_preference(entries)
+
 
 class TestPermutation:
     def test_rejects_repeats(self):
@@ -45,6 +50,10 @@ class TestPermutation:
     def test_rejects_wrong_values(self):
         with pytest.raises(ValueError):
             Permutation((2, 3, 4))
+        with pytest.raises(ValueError, match="not an integer"):
+            Permutation((2.0, 1.0))
+        with pytest.raises(ValueError, match="not an integer"):
+            Permutation((True,))
 
     def test_inverse_position_worked_example(self):
         assert inverse_position(Permutation((2, 3, 1, 4)), 1) == 3
@@ -104,6 +113,13 @@ class TestFriendshipGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             make_graph(3, [(1, 4)])
+
+    @pytest.mark.parametrize(
+        "n, edges", [(3, [(1.0, 2)]), (3, [(1, True)]), (3.0, []), (True, [])]
+    )
+    def test_rejects_non_int_labels(self, n, edges):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_graph(n, edges)
 
     def test_duplicate_edges_collapse(self):
         g = make_graph(3, [(1, 2), (2, 1)])

@@ -1,4 +1,5 @@
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -119,6 +120,10 @@ class TestInvSeq:
             InversionSequence((1, 0))  # first entry must be 0
         with pytest.raises(ValueError):
             InversionSequence((0, 2))  # second entry must be < 2
+        with pytest.raises(ValueError, match="not an integer"):
+            InversionSequence((0, 1.0))
+        with pytest.raises(ValueError, match="not an integer"):
+            InversionSequence((False, True))
 
 
 class TestPermFromInvSeq:
@@ -192,6 +197,11 @@ class TestCounts:
         brute = count_cyclic_brute(n)
         comp_total = sum(len(components(pi)) for pi in all_perms(n))
         assert cyclic_total_count(n) == brute == comp_total
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sharded_brute_matches_single_worker(self, n, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert count_cyclic_brute(n, workers=2) == count_cyclic_brute(n)
 
     def test_component_count_n7(self):
         assert cyclic_total_count(7) == sum(len(components(pi)) for pi in all_perms(7))

@@ -1,14 +1,19 @@
 import itertools
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parkfun import friendship
 from parkfun import (
     Failure,
     LotState,
     Success,
     SearchCapExceeded,
     all_labelled_graphs,
+    brute_fibre_counts,
     classical_park,
     enumerate_fpf,
     count_fpf_brute,
@@ -20,7 +25,9 @@ from parkfun import (
     is_parking_function,
     make_graph,
     make_preference,
+    total_fpf_count,
 )
+from tests.conftest import brute_fibres_by_outcome
 
 STAR = make_graph(4, [(1, 2), (1, 3), (1, 4)])
 
@@ -140,6 +147,51 @@ class TestEnumerateFpf:
         sharded = [p.entries for p in enumerate_fpf(c4, workers=2)]
         assert single == sharded
         assert count_fpf_brute(c4, workers=2) == len(single)
+
+    def test_workers_clamped_to_shards_and_cores(self, c4, monkeypatch):
+        pool_sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(friendship, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert count_fpf_brute(c4, workers=100000) == 65
+        assert count_fpf_brute(graph_generator("complete", 2), workers=100000) == 3
+        assert count_fpf_brute(c4, workers=0) == 65
+        assert pool_sizes == [3, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_complete_graph_count_is_classical(self, n):
+        assert count_fpf_brute(graph_generator("complete", n)) == (n + 1) ** (n - 1)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs())
+def test_sweeps_agree_with_per_preference_oracle(graph):
+    oracle = brute_fibres_by_outcome(graph)
+    assert brute_fibre_counts(graph) == {word: len(f) for word, f in oracle.items()}
+    listed = [p.entries for p in enumerate_fpf(graph)]
+    assert listed == sorted(set().union(*oracle.values()))
+    assert count_fpf_brute(graph) == len(listed) == total_fpf_count(graph)
 
 
 class TestContainment:
