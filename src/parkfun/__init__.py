@@ -57,7 +57,7 @@ from .friendship import (
     is_available,
     is_friendship_pf,
 )
-from .limits import SearchCapExceeded, brute_cap, ensure_within_cap
+from .limits import BadCapSetting, SearchCapExceeded, brute_cap, ensure_within_cap
 from .report import RunReport, report_schema, validate_report
 from .structure import (
     BlockingSequence,

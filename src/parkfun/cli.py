@@ -36,7 +36,7 @@ from .cyclic import (
     psi_inverse,
 )
 from .friendship import count_fpf_brute, enumerate_fpf, friendship_park
-from .limits import SearchCapExceeded
+from .limits import BadCapSetting, SearchCapExceeded
 from .notation import (
     format_blocks,
     format_interval,
@@ -147,7 +147,12 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
     graph = _resolve_graph(args.graph)
     perm = _parse_permutation(args.outcome)
     mode = "count" if args.count else "list" if args.list else "sets"
-    inputs = {"graph": args.graph, "outcome": list(perm.word), "mode": mode}
+    inputs = {
+        "graph": args.graph,
+        "outcome": list(perm.word),
+        "mode": mode,
+        "force": bool(args.force),
+    }
     if perm.n != graph.n:
         raise UsageError(f"outcome has {perm.n} entries but the graph has {graph.n} vertices")
     try:
@@ -163,7 +168,7 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
         size = fibre_size(perm, graph)
         say(f"fibre size: {size}")
         return inputs, {"fibre_size": size}, 0
-    prefs = [list(p.entries) for p in enumerate_fibre(perm, graph)]
+    prefs = [list(p.entries) for p in enumerate_fibre(perm, graph, force=args.force)]
     for entries in prefs:
         say(format_word(entries))
     say(f"count: {len(prefs)}")
@@ -363,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--count", action="store_true", help="print the fibre size")
     mode.add_argument("--sets", action="store_true", help="print the per-car spot sets (default)")
     mode.add_argument("--list", action="store_true", help="list the whole fibre")
+    fibre.add_argument("--force", action="store_true", help="ignore the search-space cap (--list)")
 
     count = add("count", cmd_count, "count friendship or cyclic parking functions")
     count.add_argument("target", choices=["fpf", "cyclic"])
@@ -399,7 +405,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         inputs, result, code = args.handler(args, say)
-    except UsageError as e:
+    except (UsageError, BadCapSetting) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SearchCapExceeded as e:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -182,6 +181,10 @@ def _sweep(
     if workers <= 1:
         yield from _passing(n, neighbor_sets, range(1, n + 1))
         return
+    # Imported here: loading the process pool costs every import of parkfun
+    # tens of milliseconds, and only sharded sweeps use it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         shards = pool.map(
             _shard, itertools.repeat(n), itertools.repeat(neighbor_sets), range(1, n + 1)

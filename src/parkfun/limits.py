@@ -8,6 +8,10 @@ CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 DEFAULT_CAP = 8 ** 8
 
 
+class BadCapSetting(ValueError):
+    """``PARKFUN_BRUTE_CAP`` is set but is not a positive integer."""
+
+
 class SearchCapExceeded(RuntimeError):
     """A brute-force sweep was refused because it would be too large."""
 
@@ -32,9 +36,9 @@ def brute_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise BadCapSetting(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap <= 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive, got {cap}")
+        raise BadCapSetting(f"{CAP_ENV_VAR} must be positive, got {cap}")
     return cap
 
 

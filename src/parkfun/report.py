@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
-
-import jsonschema
 
 
 @dataclass
@@ -39,10 +36,18 @@ class RunReport:
 
 
 def report_schema() -> dict:
+    from importlib import resources
+
     text = resources.files("parkfun").joinpath("schemas/runreport.schema.json").read_text()
     return json.loads(text)
 
 
 def validate_report(data: dict) -> None:
-    """Raise jsonschema.ValidationError when `data` is not a RunReport."""
+    """Raise jsonschema.ValidationError when `data` is not a RunReport.
+
+    jsonschema is imported here, not at module level, so that only callers
+    that validate pay for loading it.
+    """
+    import jsonschema
+
     jsonschema.validate(data, report_schema())

@@ -15,6 +15,7 @@ from math import prod
 from typing import Iterator
 
 from .core import FriendshipGraph, ParkingPreference, Permutation, inverse_position, make_graph
+from .limits import ensure_within_cap
 
 
 class NotHamiltonianPath(ValueError):
@@ -156,10 +157,17 @@ def fibre_size(perm: Permutation, graph: FriendshipGraph) -> int:
     return prod(hi - lo + 1 for lo, hi in chi.spot_sets)
 
 
-def enumerate_fibre(perm: Permutation, graph: FriendshipGraph) -> Iterator[ParkingPreference]:
-    """All preferences with `perm` as friendship outcome, lexicographically."""
+def enumerate_fibre(
+    perm: Permutation, graph: FriendshipGraph, *, force: bool = False
+) -> Iterator[ParkingPreference]:
+    """All preferences with `perm` as friendship outcome, lexicographically.
+
+    The fibre is a box, refused above the configured cap (checked on its
+    exact size, before anything is yielded) unless `force` is set.
+    """
     chi = fibre_characterisation(perm, graph)
     ranges = [range(lo, hi + 1) for lo, hi in chi.spot_sets]
+    ensure_within_cap(prod(map(len, ranges)), force)
     for entries in itertools.product(*ranges):
         yield ParkingPreference(entries)
 

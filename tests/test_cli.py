@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from parkfun import cli
 from parkfun.cli import main
 from parkfun.report import validate_report
@@ -98,6 +100,21 @@ class TestFibre:
         assert "2,3,1,1" in out
         assert "count: 8" in out
 
+    def test_list_refused_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "10")
+        code, out, err = run(capsys, "fibre", "-g", "complete:9", "-o", "123456789", "--list")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "search space of 362880" in err and "--force" in err
+
+    def test_list_forced_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "7")
+        code, out, _ = run(capsys, "fibre", "-g", "cycle:4", "-o", "4123", "--list", "--force")
+        assert code == 0
+        assert "2,3,1,1" in out
+        assert "count: 8" in out
+
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "square.graph"
         path.write_text("# four-cycle\nn 4\n1 2\n2 3\n3 4\n4 1\n")
@@ -141,6 +158,14 @@ class TestCount:
         code, out, _ = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute", "--force")
         assert code == 0
         assert "brute: 65" in out
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_cap_setting_is_a_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
+        code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
+        assert code == 2
+        assert err.startswith("error: PARKFUN_BRUTE_CAP must be")
+        assert err.count("\n") == 1
 
     def test_cyclic_brute_and_formula(self, capsys):
         code, out, _ = run(capsys, "count", "cyclic", "-n", "5", "--both")
@@ -232,6 +257,15 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "cycle", "--n", "6..3")
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_cap_setting_is_a_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
+        code, out, err = run(capsys, "verify", "props", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PARKFUN_BRUTE_CAP must be")
+        assert err.count("\n") == 1
 
     def test_json(self, capsys):
         code, report = run_json(capsys, "verify", "table1")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 import random
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkfun import friendship
 from parkfun import (
     Failure,
     LotState,
@@ -142,6 +142,14 @@ class TestEnumerateFpf:
         # force overrides the cap
         assert len(list(enumerate_fpf(graph_generator("cycle", 4), force=True))) == 65
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_cap_setting_is_a_value_error(self, monkeypatch, raw):
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
+        with pytest.raises(ValueError, match="PARKFUN_BRUTE_CAP"):
+            count_fpf_brute(graph_generator("cycle", 3))
+        # a forced sweep never reads the cap
+        assert count_fpf_brute(graph_generator("cycle", 3), force=True) == 16
+
     def test_workers_agree(self, c4):
         single = [p.entries for p in enumerate_fpf(c4, workers=1)]
         sharded = [p.entries for p in enumerate_fpf(c4, workers=2)]
@@ -164,7 +172,8 @@ class TestEnumerateFpf:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(friendship, "ProcessPoolExecutor", SerialPool)
+        # _sweep imports the pool lazily, from concurrent.futures.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert count_fpf_brute(c4, workers=100000) == 65
         assert count_fpf_brute(graph_generator("complete", 2), workers=100000) == 3

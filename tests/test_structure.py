@@ -6,6 +6,7 @@ import pytest
 from parkfun import (
     NotHamiltonianPath,
     Permutation,
+    SearchCapExceeded,
     Success,
     blocking_sequence,
     enumerate_fibre,
@@ -203,6 +204,15 @@ class TestEnumerateFibre:
     def test_lexicographic(self, c4):
         box = [p.entries for p in enumerate_fibre(Permutation((2, 1, 4, 3)), c4)]
         assert box == sorted(box)
+
+    def test_cap_on_exact_fibre_size(self, c4, monkeypatch):
+        pi = Permutation((4, 1, 2, 3))  # a fibre of 8 preferences
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "7")
+        with pytest.raises(SearchCapExceeded):
+            next(enumerate_fibre(pi, c4))
+        assert len(list(enumerate_fibre(pi, c4, force=True))) == 8
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "8")
+        assert len(list(enumerate_fibre(pi, c4))) == 8
 
 
 class TestTotalCount:
