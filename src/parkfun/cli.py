@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .classical import classical_park, total_displacement
 from .core import (
@@ -27,16 +27,16 @@ from .core import (
 from .cycle import cycle_total_count
 from .cyclic import (
     NotCyclicPreference,
+    _psi,
     components,
     count_cyclic_brute,
     cyclic_total_count,
     enumerate_cyclic_pf,
     inv_seq,
-    psi,
     psi_inverse,
 )
 from .friendship import count_fpf_brute, enumerate_fpf, friendship_park
-from .limits import BadCapSetting, SearchCapExceeded
+from .limits import BadCapSetting, SearchCapExceeded, ensure_within_cap
 from .notation import (
     format_blocks,
     format_interval,
@@ -112,6 +112,18 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dict) -> int:
+    """Print each preference as it is yielded and return how many there were;
+    only --json keeps the listing, as result["preferences"] for the report."""
+    kept = result.setdefault("preferences", []) if args.json else None
+    count = 0
+    for count, p in enumerate(prefs, start=1):
+        say(format_word(p.entries))
+        if kept is not None:
+            kept.append(list(p.entries))
+    return count
+
+
 def cmd_park(args, say) -> tuple[dict, dict, int]:
     p = _parse_preference(args.preference)
     inputs = {"mode": args.mode, "preference": list(p.entries), "graph": args.graph}
@@ -168,11 +180,11 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
         size = fibre_size(perm, graph)
         say(f"fibre size: {size}")
         return inputs, {"fibre_size": size}, 0
-    prefs = [list(p.entries) for p in enumerate_fibre(perm, graph, force=args.force)]
-    for entries in prefs:
-        say(format_word(entries))
-    say(f"count: {len(prefs)}")
-    return inputs, {"preferences": prefs, "count": len(prefs)}, 0
+    result: dict = {}
+    count = _list_preferences(enumerate_fibre(perm, graph, force=args.force), args, say, result)
+    result["count"] = count
+    say(f"count: {count}")
+    return inputs, result, 0
 
 
 def cmd_count(args, say) -> tuple[dict, dict, int]:
@@ -204,6 +216,9 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
     }
     result: dict = {}
     code = 0
+    if mode != "formula":
+        # Refuse (or reject a malformed cap) before anything reaches stdout.
+        ensure_within_cap(n ** n, args.force)
 
     if mode in ("formula", "both"):
         if args.target == "fpf":
@@ -220,29 +235,17 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
         space = n ** n
         result["search_space"] = space
         say(f"search space: {n}^{n} = {space} preferences")
-        if args.target == "fpf":
-            if args.list:
-                prefs = [
-                    list(p.entries)
-                    for p in enumerate_fpf(graph, force=args.force, workers=args.workers)
-                ]
-                for entries in prefs:
-                    say(format_word(entries))
-                result["preferences"] = prefs
-                brute = len(prefs)
+        sweep = {"force": True, "workers": args.workers}
+        if args.list:
+            if args.target == "fpf":
+                listing = enumerate_fpf(graph, **sweep)
             else:
-                brute = count_fpf_brute(graph, force=args.force, workers=args.workers)
+                listing = enumerate_cyclic_pf(n, **sweep)
+            brute = _list_preferences(listing, args, say, result)
+        elif args.target == "fpf":
+            brute = count_fpf_brute(graph, **sweep)
         else:
-            if args.list:
-                prefs = [
-                    list(p.entries) for p in enumerate_cyclic_pf(n, force=args.force)
-                ]
-                for entries in prefs:
-                    say(format_word(entries))
-                result["preferences"] = prefs
-                brute = len(prefs)
-            else:
-                brute = count_cyclic_brute(n, force=args.force, workers=args.workers)
+            brute = count_cyclic_brute(n, **sweep)
         result["brute"] = brute
         say(f"brute: {brute}")
 
@@ -262,11 +265,10 @@ def cmd_bijection(args, say) -> tuple[dict, dict, int]:
         p = _parse_preference(args.preference)
         inputs = {"direction": "psi", "preference": list(p.entries)}
         try:
-            c = psi(p)
+            res, c = _psi(p)
         except NotCyclicPreference as e:
             say(f"error: {e}")
             return inputs, {"error": str(e)}, 1
-        res = classical_park(p)
         host = c.underlying
         blocks = [(b.start, b.end) for b in components(host)]
         say(f"outcome: {format_word(res.outcome.word)} (increasing cycle from {res.outcome.word[0]})")

@@ -154,15 +154,17 @@ def perm_from_inv_seq(a: InversionSequence | Sequence[int]) -> Permutation:
     return Permutation(tuple(word))
 
 
+def _rotation_start(word: tuple[int, ...]) -> int | None:
+    """i when `word` is the increasing rotation from i, else None."""
+    i = word[0]
+    return i if word == increasing_word(i, len(word)) else None
+
+
 def is_cyclic_pf(p: ParkingPreference) -> int | None:
     """Starting value i when the classical outcome is the increasing rotation
     from i; None when the process fails or parks in any other pattern."""
     res = classical_park(p)
-    if not isinstance(res, Success):
-        return None
-    word = res.outcome.word
-    i = word[0]
-    return i if word == increasing_word(i, p.n) else None
+    return _rotation_start(res.outcome.word) if isinstance(res, Success) else None
 
 
 def cyclic_fibre_size(start: int, n: int) -> int:
@@ -180,21 +182,14 @@ def cyclic_total_count(n: int) -> int:
     return sum(factorial(i) * factorial(n - i) for i in range(n))
 
 
-def psi(p: ParkingPreference) -> Component:
-    """Map a cyclic preference to its permutation component.
-
-    Runs the classical process, realises the displacement vector as an
-    inversion sequence, and returns the component of the resulting
-    permutation containing the starting value (the car in spot 1).
-    The simulation is redone internally so preference and displacement can
-    never disagree.
-    """
+def _psi(p: ParkingPreference) -> tuple[Success, Component]:
+    """The classical outcome of `p` and its image under psi, from one simulation."""
     res = classical_park(p)
     if not isinstance(res, Success):
         raise NotCyclicPreference(f"car {res.car} cannot park; not a parking function")
     word = res.outcome.word
-    i = word[0]
-    if word != increasing_word(i, p.n):
+    i = _rotation_start(word)
+    if i is None:
         raise NotCyclicPreference(
             f"outcome {format_word_compact(word)} is not an increasing cycle",
             outcome=word,
@@ -202,8 +197,18 @@ def psi(p: ParkingPreference) -> Component:
     host = perm_from_inv_seq(res.displacement)
     for c in components(host):
         if c.start <= i <= c.end:
-            return c
+            return res, c
     raise AssertionError("components always cover every value")
+
+
+def psi(p: ParkingPreference) -> Component:
+    """Map a cyclic preference to its permutation component.
+
+    Runs the classical process, realises the displacement vector as an
+    inversion sequence, and returns the component of the resulting
+    permutation containing the starting value (the car in spot 1).
+    """
+    return _psi(p)[1]
 
 
 def psi_inverse(c: Component) -> ParkingPreference:
@@ -227,16 +232,19 @@ def psi_inverse(c: Component) -> ParkingPreference:
 def _cyclic_sweep(n: int, force: bool, workers: int = 1) -> Iterator[tuple[int, ...]]:
     """Entries of every cyclic preference of length n, lexicographically."""
     for entries, word in _sweep(n, _all_friends(n), force, workers):
-        if word == increasing_word(word[0], n):
+        if _rotation_start(word) is not None:
             yield entries
 
 
-def enumerate_cyclic_pf(n: int, *, force: bool = False) -> Iterator[ParkingPreference]:
+def enumerate_cyclic_pf(
+    n: int, *, force: bool = False, workers: int = 1
+) -> Iterator[ParkingPreference]:
     """All cyclic parking functions of length n, lexicographically.
 
-    Exhaustive sweep over [n]^n, subject to the brute-force cap.
+    Exhaustive sweep over [n]^n, subject to the brute-force cap; any worker
+    count gives the same stream.
     """
-    for entries in _cyclic_sweep(n, force):
+    for entries in _cyclic_sweep(n, force, workers):
         yield ParkingPreference(entries)
 
 

@@ -13,11 +13,11 @@ class BadCapSetting(ValueError):
 
 
 class SearchCapExceeded(RuntimeError):
-    """A brute-force sweep was refused because it would be too large."""
+    """A brute-force sweep or listing was refused because it would be too large."""
 
     def __init__(self, size: int, cap: int):
         super().__init__(
-            f"search space of {size} simulations exceeds the cap of {cap}; "
+            f"search space of {size} preferences exceeds the cap of {cap}; "
             f"force the run or raise {CAP_ENV_VAR}"
         )
         self.size = size
@@ -25,10 +25,11 @@ class SearchCapExceeded(RuntimeError):
 
 
 def brute_cap() -> int:
-    """Maximum number of simulations a sweep may run without being forced.
+    """Maximum number of preferences a sweep or listing may visit without
+    being forced.
 
-    ``PARKFUN_BRUTE_CAP`` overrides the default; it counts total simulations,
-    not the number of cars.
+    ``PARKFUN_BRUTE_CAP`` overrides the default; it counts preferences, not
+    the number of cars.
     """
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
@@ -43,7 +44,7 @@ def brute_cap() -> int:
 
 
 def ensure_within_cap(size: int, force: bool = False) -> None:
-    """Raise SearchCapExceeded if a sweep of `size` simulations is over the cap."""
+    """Raise SearchCapExceeded if a search of `size` preferences is over the cap."""
     if force:
         return
     cap = brute_cap()

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from . import cyclic as cyc
-from .classical import _all_friends, classical_park, is_parking_function
+from .classical import _all_friends, is_parking_function
 from .core import (
     FriendshipGraph,
     ParkingPreference,
@@ -39,7 +39,6 @@ from .structure import (
     enumerate_fibre,
     fibre_size,
     hamiltonian_paths,
-    has_hamiltonian_path,
     total_fpf_count,
 )
 
@@ -57,14 +56,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _brute_fibres(graph: FriendshipGraph) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
-    """Outcome word -> set of preferences reaching it, by full simulation."""
-    fibres: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for entries, word in _sweep(graph.n, graph._neighbors, force=True):
-        fibres.setdefault(word, set()).add(entries)
-    return fibres
 
 
 def _graph_corpus(n: int) -> tuple[list[FriendshipGraph], str]:
@@ -93,40 +84,42 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         graphs, corpus_note = _graph_corpus(n)
         ensure_within_cap(len(graphs) * n ** n, force)
         classical_words = dict(_sweep(n, _all_friends(n), force=True))
+        cn = graph_generator("cycle", n) if n >= 4 else None
         subset_bad: list[str] = []
         nonempty_bad: list[str] = []
         transfer_bad: list[str] = []
         partition_bad: list[str] = []
         for graph in graphs:
-            fibres = _brute_fibres(graph)
-            fpf_set = set().union(*fibres.values()) if fibres else set()
+            # Preference entries -> friendship outcome word, by full simulation.
+            words = dict(_sweep(n, graph._neighbors, force=True))
+            if graph == cn:  # every corpus holds C_n, so its witness reuses this map
+                cn_words = words
 
-            for entries in fpf_set:
+            for entries in words:
                 if not is_parking_function(ParkingPreference(entries)):
                     subset_bad.append(f"{entries} on {sorted(graph.edges)}")
 
-            brute_nonempty = bool(fpf_set)
-            if brute_nonempty != has_hamiltonian_path(graph) or brute_nonempty != (
-                total_fpf_count(graph) > 0
-            ):
+            paths = list(hamiltonian_paths(graph))
+            brute_nonempty = bool(words)
+            if brute_nonempty != bool(paths) or brute_nonempty != (total_fpf_count(graph) > 0):
                 nonempty_bad.append(f"{sorted(graph.edges)}")
 
-            paths = list(hamiltonian_paths(graph))
             path_words = {pi.word for pi in paths}
-            friendship_words = {e: word for word, fibre in fibres.items() for e in fibre}
             for entries, word in classical_words.items():
-                if word in path_words and friendship_words.get(entries) != word:
+                if word in path_words and words.get(entries) != word:
                     transfer_bad.append(f"{entries} on {sorted(graph.edges)}")
 
+            # Each box lies in its outcome's fibre, no two boxes meet, and
+            # together they cover every passing preference.
             seen: set[tuple[int, ...]] = set()
             for pi in paths:
                 box = {p.entries for p in enumerate_fibre(pi, graph)}
-                if box != fibres.get(pi.word, set()):
+                if any(words.get(entries) != pi.word for entries in box):
                     partition_bad.append(f"fibre of {pi.word} on {sorted(graph.edges)}")
                 if box & seen:
                     partition_bad.append(f"overlap at {pi.word} on {sorted(graph.edges)}")
                 seen |= box
-            if seen != fpf_set:
+            if seen != words.keys():
                 partition_bad.append(f"union mismatch on {sorted(graph.edges)}")
 
         def summary(bad: list[str]) -> tuple[bool, str]:
@@ -143,16 +136,10 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             ok, detail = summary(bad)
             results.append(CheckResult(check, ok, detail))
 
-        if n >= 4:
-            cn = graph_generator("cycle", n)
+        if cn is not None:
             cn_paths = {pi.word for pi in hamiltonian_paths(cn)}
             witness = next(
-                (
-                    entries
-                    for entries, _ in _sweep(n, cn._neighbors, force=True)
-                    if classical_words.get(entries) not in cn_paths
-                ),
-                None,
+                (e for e in cn_words if classical_words.get(e) not in cn_paths), None
             )
             results.append(
                 CheckResult(
@@ -282,6 +269,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         ensure_within_cap(max(factorial(n), n ** n), force)
 
         perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
+        comps = {pi.word: cyc.components(pi) for pi in perms}
 
         bad = []
         for pi in perms:
@@ -300,7 +288,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
 
         bad = []
         for pi in perms:
-            greedy = [(c.start, c.end) for c in cyc.components(pi)]
+            greedy = [(c.start, c.end) for c in comps[pi.word]]
             if greedy != _brute_minimal_blocks(pi.word):
                 bad.append(f"{pi.word}")
         results.append(
@@ -312,7 +300,8 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         )
 
         cyclic_pfs = list(cyc.enumerate_cyclic_pf(n, force=True))
-        comp_total = sum(len(cyc.components(pi)) for pi in perms)
+        all_components = [c for cs in comps.values() for c in cs]
+        comp_total = len(all_components)
         formula = cyc.cyclic_total_count(n)
         results.append(
             CheckResult(
@@ -327,11 +316,10 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         images = []
         by_displacement: dict[tuple[int, ...], int] = {}
         for p in cyclic_pfs:
-            res = classical_park(p)
+            res, c = cyc._psi(p)
             start = res.outcome.word[0]
             per_start[start] = per_start.get(start, 0) + 1
             by_displacement[res.displacement] = by_displacement.get(res.displacement, 0) + 1
-            c = cyc.psi(p)
             images.append(c)
             if cyc.psi_inverse(c) != p:
                 bad.append(f"round trip at {p.entries}")
@@ -344,7 +332,6 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             ):
                 bad.append(f"displacement/inversion at {p.entries}")
 
-        all_components = [c for pi in perms for c in cyc.components(pi)]
         if sorted(
             (c.underlying.word, c.start) for c in images
         ) != sorted((c.underlying.word, c.start) for c in all_components):
@@ -376,7 +363,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
 
         bad = []
         for entries in itertools.product(*(range(i) for i in range(1, n + 1))):
-            want = len(cyc.components(cyc.perm_from_inv_seq(entries)))
+            want = len(comps[cyc.perm_from_inv_seq(entries).word])
             got = by_displacement.get(entries, 0)
             if want != got:
                 bad.append(f"displacement {entries}: {got} preferences vs {want} components")
@@ -427,8 +414,7 @@ def n3_reference_rows() -> list[tuple]:
     start and then lexicographic."""
     rows = []
     for p in cyc.enumerate_cyclic_pf(3, force=True):
-        res = classical_park(p)
-        c = cyc.psi(p)
+        res, c = cyc._psi(p)
         rows.append((res.outcome.word, p.entries, res.displacement, c.underlying.word, c.start))
     # Stable, so each rotation keeps the sweep's lexicographic order.
     rows.sort(key=lambda row: row[0][0])

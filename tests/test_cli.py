@@ -1,9 +1,10 @@
+import argparse
 import io
 import json
 
 import pytest
 
-from parkfun import cli
+from parkfun import ParkingPreference, cli, friendship
 from parkfun.cli import main
 from parkfun.report import validate_report
 
@@ -107,6 +108,7 @@ class TestFibre:
         assert out == ""
         assert err.count("error:") == 1
         assert "search space of 362880" in err and "--force" in err
+        assert "362880 preferences" in err
 
     def test_list_forced_over_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", "7")
@@ -141,9 +143,10 @@ class TestCount:
         assert "search space: 4^4 = 256 preferences" in out
 
     def test_cap_refused(self, capsys):
-        code, _, err = run(capsys, "count", "fpf", "-g", "cycle:12", "--brute")
+        code, out, err = run(capsys, "count", "fpf", "-g", "cycle:12", "--brute")
         assert code == 2
         assert "exceeds the cap" in err
+        assert out == ""
 
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", "100")
@@ -162,10 +165,20 @@ class TestCount:
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_cap_setting_is_a_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
-        code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
+        code, out, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
         assert code == 2
         assert err.startswith("error: PARKFUN_BRUTE_CAP must be")
         assert err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("graph, raw", [("cycle:12", None), ("cycle:4", "abc")])
+    def test_both_refused_before_formula(self, capsys, monkeypatch, graph, raw):
+        if raw is not None:
+            monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
+        code, out, err = run(capsys, "count", "fpf", "-g", graph, "--both")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
 
     def test_cyclic_brute_and_formula(self, capsys):
         code, out, _ = run(capsys, "count", "cyclic", "-n", "5", "--both")
@@ -192,6 +205,20 @@ class TestCount:
         assert code == 0
         assert by_file == by_spec == f"formula: {cli.cycle_total_count(n)}\n"
 
+    def test_cyclic_list_honours_workers(self, capsys, monkeypatch):
+        seen = []
+        real = cli.enumerate_cyclic_pf
+
+        def spy(n, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_cyclic_pf", spy)
+        code, report = run_json(capsys, "count", "cyclic", "-n", "3", "--brute", "--list", "--workers", "2")
+        assert code == 0
+        assert seen == [2] and report["inputs"]["workers"] == 2
+        assert report["result"]["brute"] == len(report["result"]["preferences"]) == 10
+
     def test_workers_below_one_refused(self, capsys):
         code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute", "--workers", "0")
         assert code == 2
@@ -209,7 +236,48 @@ class TestCount:
         assert report["result"]["match"] is True
 
 
+class TestListPreferences:
+    """The one --list printer behind `count` and `fibre`."""
+
+    def listing(self, lines, n):
+        for k in range(n):
+            # Every earlier preference is already printed when the next is drawn.
+            assert len(lines) == k
+            yield ParkingPreference((1,) * (k + 1))
+
+    def test_text_mode_streams_and_keeps_nothing(self):
+        lines, result = [], {}
+        count = cli._list_preferences(
+            self.listing(lines, 3), argparse.Namespace(json=False), lines.append, result
+        )
+        assert count == 3
+        assert lines == ["1", "1,1", "1,1,1"]
+        assert result == {}
+
+    def test_json_mode_keeps_the_listing(self):
+        lines, result = [], {}
+        count = cli._list_preferences(
+            self.listing(lines, 2), argparse.Namespace(json=True), lines.append, result
+        )
+        assert count == 2
+        assert result == {"preferences": [[1], [1, 1]]}
+
+
 class TestBijection:
+    def test_psi_simulates_once(self, capsys, monkeypatch):
+        calls = []
+        real = friendship._run
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(friendship, "_run", counting)
+        code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
+        assert code == 0
+        assert "component: (10)89" in out
+        assert len(calls) == 1
+
     def test_psi_worked_example(self, capsys):
         code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
         assert code == 0

@@ -202,6 +202,7 @@ class TestCounts:
     def test_sharded_brute_matches_single_worker(self, n, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert count_cyclic_brute(n, workers=2) == count_cyclic_brute(n)
+        assert list(enumerate_cyclic_pf(n, workers=2)) == list(enumerate_cyclic_pf(n))
 
     def test_component_count_n7(self):
         assert cyclic_total_count(7) == sum(len(components(pi)) for pi in all_perms(7))

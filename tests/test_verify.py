@@ -1,5 +1,6 @@
 import pytest
 
+from parkfun import friendship, verify
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -27,6 +28,58 @@ def test_reference_rows_regenerate():
 
 def test_props_suite_small():
     assert_all_pass(props_suite(range(1, 4)))
+
+
+def props_with_boxes(monkeypatch, tamper):
+    """props_suite at n=3 with every fibre box passed through `tamper`."""
+    real = verify.enumerate_fibre
+
+    def tampered(pi, graph, **kwargs):
+        return tamper(pi.word, list(real(pi, graph, **kwargs)))
+
+    monkeypatch.setattr(verify, "enumerate_fibre", tampered)
+    return {c.name: c for c in props_suite([3])}
+
+
+def test_props_catches_a_short_box(monkeypatch):
+    def drop(word, box):
+        return box[:-1] if word == (1, 2, 3) else box
+
+    checks = props_with_boxes(monkeypatch, drop)
+    assert not checks["fibre-box-partition n=3"].passed
+    assert all(c.passed for name, c in checks.items() if name != "fibre-box-partition n=3")
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["moved", "duplicated"])
+def test_props_catches_a_preference_in_the_wrong_box(monkeypatch, keep):
+    """A preference of 123's box is also (or only) yielded in the next box,
+    which on every graph with path 123 belongs to another path."""
+    stray = []
+
+    def misfile(word, box):
+        if word == (1, 2, 3):
+            stray.append(box[-1])
+            return box if keep else box[:-1]
+        return box + [stray.pop()] if stray else box
+
+    checks = props_with_boxes(monkeypatch, misfile)
+    partition = checks["fibre-box-partition n=3"]
+    assert not partition.passed
+    assert "first: fibre of" in partition.detail
+
+
+def test_reference_rows_simulate_each_cyclic_preference_once(monkeypatch):
+    calls = []
+    real = friendship._run
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(friendship, "_run", counting)
+    rows = n3_reference_rows()
+    # One sweep of [3]^3, then one simulation per row.
+    assert len(calls) == 3 ** 3 + len(rows) == 37
 
 
 def test_cycle_suite_small():
