@@ -168,20 +168,21 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
     if perm.n != graph.n:
         raise UsageError(f"outcome has {perm.n} entries but the graph has {graph.n} vertices")
     try:
-        chi = fibre_characterisation(perm, graph)
+        if mode == "sets":
+            chi = fibre_characterisation(perm, graph)
+            for car, (lo, hi) in enumerate(chi.spot_sets, start=1):
+                say(f"S_{car} = {format_interval(lo, hi)}")
+            return inputs, {"spot_sets": [list(s) for s in chi.spot_sets]}, 0
+        if mode == "count":
+            size = fibre_size(perm, graph)
+            say(f"fibre size: {size}")
+            return inputs, {"fibre_size": size}, 0
+        result: dict = {}
+        prefs = enumerate_fibre(perm, graph, force=args.force)
+        count = _list_preferences(prefs, args, say, result)
     except NotHamiltonianPath as e:
         say(f"error: {e}")
         return inputs, {"error": str(e)}, 1
-    if mode == "sets":
-        for car, (lo, hi) in enumerate(chi.spot_sets, start=1):
-            say(f"S_{car} = {format_interval(lo, hi)}")
-        return inputs, {"spot_sets": [list(s) for s in chi.spot_sets]}, 0
-    if mode == "count":
-        size = fibre_size(perm, graph)
-        say(f"fibre size: {size}")
-        return inputs, {"fibre_size": size}, 0
-    result: dict = {}
-    count = _list_preferences(enumerate_fibre(perm, graph, force=args.force), args, say, result)
     result["count"] = count
     say(f"count: {count}")
     return inputs, result, 0
@@ -265,12 +266,12 @@ def cmd_bijection(args, say) -> tuple[dict, dict, int]:
         p = _parse_preference(args.preference)
         inputs = {"direction": "psi", "preference": list(p.entries)}
         try:
-            res, c = _psi(p)
+            res, c, comps = _psi(p)
         except NotCyclicPreference as e:
             say(f"error: {e}")
             return inputs, {"error": str(e)}, 1
         host = c.underlying
-        blocks = [(b.start, b.end) for b in components(host)]
+        blocks = [(b.start, b.end) for b in comps]
         say(f"outcome: {format_word(res.outcome.word)} (increasing cycle from {res.outcome.word[0]})")
         say(f"displacement: {format_word(res.displacement)}")
         say(f"host permutation: {format_blocks(host.word, blocks)}")

@@ -93,18 +93,12 @@ def cycle_fibre_size(c: CyclicOutcome) -> int:
 
 
 def cycle_total_count(n: int) -> int:
-    """Total number of friendship parking functions on the n-vertex cycle.
+    """Total number of friendship parking functions on the n-vertex cycle:
+    the closed-form fibre sizes summed over all 2n rotation outcomes.
 
-    Evaluates the closed-form sum over all rotation outcomes; exact integer
-    arithmetic throughout.
+    >>> cycle_total_count(7)
+    8710
     """
     if n < 3:
         raise ValueError("the cycle graph needs n >= 3")
-    total = n + 1
-    if n == 3:
-        total += sum(i + 1 for i in range(1, n - 1))
-    else:
-        total += sum((i + 1) * (i + 2) for i in range(1, n - 1))
-    total += sum(factorial(n + 1 - i) * factorial(i - 1) for i in range(1, 4))
-    total += sum(_exact_div3(factorial(n - i + 1) * factorial(i)) for i in range(4, n + 1))
-    return total
+    return sum(cycle_fibre_size(c) for c in cyclic_outcomes(n))

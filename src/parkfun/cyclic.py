@@ -176,14 +176,20 @@ def cyclic_fibre_size(start: int, n: int) -> int:
 
 
 def cyclic_total_count(n: int) -> int:
-    """Total number of cyclic parking functions: sum of i!(n-i)!."""
+    """Total number of cyclic parking functions: the rotation fibre sizes
+    summed over every start.
+
+    >>> [cyclic_total_count(n) for n in range(1, 6)]
+    [1, 3, 10, 40, 192]
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    return sum(factorial(i) * factorial(n - i) for i in range(n))
+    return sum(cyclic_fibre_size(start, n) for start in range(1, n + 1))
 
 
-def _psi(p: ParkingPreference) -> tuple[Success, Component]:
-    """The classical outcome of `p` and its image under psi, from one simulation."""
+def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
+    """The classical outcome of `p`, its image under psi and every component
+    of the host permutation, from one simulation and one decomposition."""
     res = classical_park(p)
     if not isinstance(res, Success):
         raise NotCyclicPreference(f"car {res.car} cannot park; not a parking function")
@@ -194,10 +200,10 @@ def _psi(p: ParkingPreference) -> tuple[Success, Component]:
             f"outcome {format_word_compact(word)} is not an increasing cycle",
             outcome=word,
         )
-    host = perm_from_inv_seq(res.displacement)
-    for c in components(host):
+    comps = components(perm_from_inv_seq(res.displacement))
+    for c in comps:
         if c.start <= i <= c.end:
-            return res, c
+            return res, c, comps
     raise AssertionError("components always cover every value")
 
 

@@ -73,32 +73,20 @@ class LotState:
         return LotState(tuple(cells))
 
 
-def _padded(state: LotState) -> list[int]:
-    """Occupancy as a 0-sentinel int list with virtual empty spots 0 and n+1."""
-    return [0] + [c or 0 for c in state.occupancy] + [0]
-
-
-def _spot_available(occ: Sequence[int], neighbors_of_car, spot: int) -> bool:
-    # occ is padded: index 0 and n+1 are the always-empty boundary spots.
-    if occ[spot]:
-        return False
-    left, right = occ[spot - 1], occ[spot + 1]
-    if left and left not in neighbors_of_car:
-        return False
-    if right and right not in neighbors_of_car:
-        return False
-    return True
-
-
 def is_available(state: LotState, graph: FriendshipGraph, car: int, spot: int) -> bool:
     """Can `car` park in `spot` given the current occupancy?
 
     True iff the spot is unoccupied and each occupied neighbouring spot holds
-    a friend of `car`.
+    a friend of `car`; spots 0 and n+1 count as always empty. This is the
+    reference statement of the rule, which `_run` inlines for speed.
     """
     if not 1 <= spot <= state.n:
         raise ValueError(f"spot {spot} is outside [1, {state.n}]")
-    return _spot_available(_padded(state), graph.neighbors(car), spot)
+    friends = graph.neighbors(car)
+    occ = (None,) + state.occupancy + (None,)
+    return occ[spot] is None and all(
+        c is None or c in friends for c in (occ[spot - 1], occ[spot + 1])
+    )
 
 
 def _run(entries: Sequence[int], n: int, neighbor_sets) -> tuple[int, ...] | int:

@@ -101,6 +101,31 @@ def has_hamiltonian_path(graph: FriendshipGraph) -> bool:
     return next(hamiltonian_paths(graph), None) is not None
 
 
+def _blocks(word: tuple[int, ...], k: int, i: int, friends: frozenset[int]) -> bool:
+    """Does the value at word index k block car i, whose friend set is `friends`?"""
+    if word[k] <= i:
+        return True
+    for kn in (k - 1, k + 1):
+        if 0 <= kn < len(word) and word[kn] < i and word[kn] not in friends:
+            return True
+    return False
+
+
+def _run_start(word: tuple[int, ...], k: int, neighbors) -> int:
+    """Index where the maximal blocking run ending at word index k starts."""
+    i = word[k]
+    friends = neighbors[i]
+    start = k
+    while start > 0 and _blocks(word, start - 1, i, friends):
+        start -= 1
+    return start
+
+
+def _require_same_size(perm: Permutation, graph: FriendshipGraph) -> None:
+    if perm.n != graph.n:
+        raise ValueError(f"permutation has {perm.n} entries but the graph has {graph.n} vertices")
+
+
 def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> bool:
     """Does the value j obstruct car i in this outcome?
 
@@ -111,43 +136,33 @@ def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> boo
     for v in (j, i):
         if not 1 <= v <= perm.n:
             raise ValueError(f"value {v} is outside [1, {perm.n}]")
-    if j <= i:
-        return True
-    word = perm.word
-    k = word.index(j)
-    for kn in (k - 1, k + 1):
-        if 0 <= kn < len(word):
-            ell = word[kn]
-            if ell < i and not graph.adjacent(ell, i):
-                return True
-    return False
+    _require_same_size(perm, graph)
+    return _blocks(perm.word, perm.word.index(j), i, graph._neighbors[i])
 
 
 def blocking_sequence(i: int, perm: Permutation, graph: FriendshipGraph) -> BlockingSequence:
     """Scan left from i's position while the blocker predicate holds."""
-    word = perm.word
+    _require_same_size(perm, graph)
     end = inverse_position(perm, i) - 1
-    start = end
-    while start > 0 and is_blocker(word[start - 1], i, perm, graph):
-        start -= 1
-    return BlockingSequence(word[start : end + 1], i)
+    start = _run_start(perm.word, end, graph._neighbors)
+    return BlockingSequence(perm.word[start : end + 1], i)
 
 
 def fibre_characterisation(perm: Permutation, graph: FriendshipGraph) -> FibreCharacterisation:
     """Admissible spot intervals for every car of a Hamiltonian outcome.
 
     Rejects permutations that are not Hamiltonian paths of the graph; the
-    characterisation only holds for those.
+    characterisation only holds for those. Car word[k]'s interval runs from
+    the start of its blocking run to its own spot k+1.
     """
     if not is_hamiltonian_path(perm, graph):
         raise NotHamiltonianPath(
             f"{perm.word} is not a Hamiltonian path of the graph"
         )
-    sets = []
-    for i in range(1, perm.n + 1):
-        run = blocking_sequence(i, perm, graph)
-        hi = inverse_position(perm, i)
-        sets.append((hi - run.length + 1, hi))
+    word = perm.word
+    sets: list[tuple[int, int]] = [(0, 0)] * perm.n
+    for k, i in enumerate(word):
+        sets[i - 1] = (_run_start(word, k, graph._neighbors) + 1, k + 1)
     return FibreCharacterisation(perm, tuple(sets))
 
 

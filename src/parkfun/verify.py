@@ -32,7 +32,7 @@ from .cycle import (
     decreasing_word,
     expand_cyclic,
 )
-from .friendship import _sweep
+from .friendship import _sweep, brute_fibre_counts
 from .limits import ensure_within_cap
 from .structure import (
     blocking_sequence,
@@ -56,6 +56,11 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _check(name: str, bad: list[str], ok_detail: str) -> CheckResult:
+    """Pass when `bad` is empty; otherwise report its first discrepancy."""
+    return CheckResult(name, not bad, bad[0] if bad else ok_detail)
 
 
 def _graph_corpus(n: int) -> tuple[list[FriendshipGraph], str]:
@@ -184,8 +189,6 @@ def _expected_blocking_words(c: CyclicOutcome) -> dict[int, tuple[int, ...]]:
 
 def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckResult]:
     """Cycle-graph closed forms against the general fibre product and brute force."""
-    from .friendship import brute_fibre_counts
-
     results = []
     for n in n_values:
         if n < 3:
@@ -225,11 +228,7 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             if not closed == general == counted:
                 bad.append(f"{word}: closed {closed}, product {general}, brute {counted}")
         results.append(
-            CheckResult(
-                f"cycle-fibre-closed-forms n={n}",
-                not bad,
-                bad[0] if bad else f"all {2 * n} rotation fibres agree",
-            )
+            _check(f"cycle-fibre-closed-forms n={n}", bad, f"all {2 * n} rotation fibres agree")
         )
 
         if n >= 4:
@@ -241,10 +240,10 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
                     if got != want:
                         bad.append(f"run for {j} in {pi.word}: {got} != {want}")
             results.append(
-                CheckResult(
+                _check(
                     f"cycle-blocking-run-shapes n={n}",
-                    not bad,
-                    bad[0] if bad else f"all runs match on {2 * n} rotations",
+                    bad,
+                    f"all runs match on {2 * n} rotations",
                 )
             )
         else:
@@ -279,10 +278,10 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             if cyc.inv_seq(cyc.perm_from_inv_seq(entries)).entries != entries:
                 bad.append(f"{entries}")
         results.append(
-            CheckResult(
+            _check(
                 f"inversion-sequence-bijection n={n}",
-                not bad,
-                bad[0] if bad else f"{len(perms)} permutations both ways",
+                bad,
+                f"{len(perms)} permutations both ways",
             )
         )
 
@@ -292,10 +291,10 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             if greedy != _brute_minimal_blocks(pi.word):
                 bad.append(f"{pi.word}")
         results.append(
-            CheckResult(
+            _check(
                 f"component-decomposition n={n}",
-                not bad,
-                bad[0] if bad else f"greedy cuts match minimal blocks on {len(perms)} permutations",
+                bad,
+                f"greedy cuts match minimal blocks on {len(perms)} permutations",
             )
         )
 
@@ -316,7 +315,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         images = []
         by_displacement: dict[tuple[int, ...], int] = {}
         for p in cyclic_pfs:
-            res, c = cyc._psi(p)
+            res, c, _ = cyc._psi(p)
             start = res.outcome.word[0]
             per_start[start] = per_start.get(start, 0) + 1
             by_displacement[res.displacement] = by_displacement.get(res.displacement, 0) + 1
@@ -341,10 +340,10 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
                 bad.append(f"reverse round trip at {c.underlying.word}[{c.start}..{c.end}]")
                 break
         results.append(
-            CheckResult(
+            _check(
                 f"component-bijection-round-trip n={n}",
-                not bad,
-                bad[0] if bad else f"{len(cyclic_pfs)} preferences <-> {len(all_components)} components",
+                bad,
+                f"{len(cyclic_pfs)} preferences <-> {len(all_components)} components",
             )
         )
 
@@ -354,10 +353,10 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             if per_start.get(start, 0) != cyc.cyclic_fibre_size(start, n)
         ]
         results.append(
-            CheckResult(
+            _check(
                 f"cyclic-fibre-sizes n={n}",
-                not bad,
-                bad[0] if bad else f"all {n} rotation fibres match the factorial product",
+                bad,
+                f"all {n} rotation fibres match the factorial product",
             )
         )
 
@@ -368,11 +367,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             if want != got:
                 bad.append(f"displacement {entries}: {got} preferences vs {want} components")
         results.append(
-            CheckResult(
-                f"displacement-fibres n={n}",
-                not bad,
-                bad[0] if bad else f"{factorial(n)} displacement vectors",
-            )
+            _check(f"displacement-fibres n={n}", bad, f"{factorial(n)} displacement vectors")
         )
     return results
 
@@ -414,7 +409,7 @@ def n3_reference_rows() -> list[tuple]:
     start and then lexicographic."""
     rows = []
     for p in cyc.enumerate_cyclic_pf(3, force=True):
-        res, c = cyc._psi(p)
+        res, c, _ = cyc._psi(p)
         rows.append((res.outcome.word, p.entries, res.displacement, c.underlying.word, c.start))
     # Stable, so each rotation keeps the sweep's lexicographic order.
     rows.sort(key=lambda row: row[0][0])

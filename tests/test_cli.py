@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from parkfun import ParkingPreference, cli, friendship
+from parkfun import ParkingPreference, cli, cyclic, friendship, structure
 from parkfun.cli import main
 from parkfun.report import validate_report
 
@@ -116,6 +116,21 @@ class TestFibre:
         assert code == 0
         assert "2,3,1,1" in out
         assert "count: 8" in out
+
+    @pytest.mark.parametrize("mode", ["--sets", "--count", "--list"])
+    def test_characterises_once(self, capsys, monkeypatch, mode):
+        calls = []
+        real = structure.fibre_characterisation
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structure, "fibre_characterisation", counting)
+        monkeypatch.setattr(cli, "fibre_characterisation", counting)
+        code, _, _ = run(capsys, "fibre", "-g", "fig4", "-o", "87152463", mode)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "square.graph"
@@ -276,6 +291,21 @@ class TestBijection:
         code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
         assert code == 0
         assert "component: (10)89" in out
+        assert len(calls) == 1
+
+    def test_psi_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        real = cyclic.components
+
+        def counting(perm):
+            calls.append(perm)
+            return real(perm)
+
+        monkeypatch.setattr(cyclic, "components", counting)
+        monkeypatch.setattr(cli, "components", counting)
+        code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
+        assert code == 0
+        assert "host permutation: 21/47536/(10)89" in out
         assert len(calls) == 1
 
     def test_psi_worked_example(self, capsys):

@@ -96,6 +96,12 @@ class TestCycleTotalCount:
                 cycle_fibre_size(c) for c in cyclic_outcomes(n)
             )
 
+    def test_pinned_values(self):
+        # n=10 agrees with the landing-spot count recorded in ROADMAP.md.
+        assert [cycle_total_count(n) for n in range(8, 13)] == [
+            67135, 587768, 5743059, 61943490, 731163463,
+        ]
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             cycle_total_count(2)

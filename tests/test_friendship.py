@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from parkfun import (
     Failure,
     LotState,
+    Permutation,
     Success,
     SearchCapExceeded,
     all_labelled_graphs,
@@ -17,8 +18,11 @@ from parkfun import (
     classical_park,
     enumerate_fpf,
     count_fpf_brute,
+    enumerate_fibre,
+    fibre_size,
     friendship_park,
     graph_generator,
+    hamiltonian_paths,
     is_available,
     is_friendship_pf,
     is_hamiltonian_path,
@@ -186,8 +190,8 @@ class TestEnumerateFpf:
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def small_graphs(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return make_graph(n, [e for e, k in zip(pairs, keep) if k])
@@ -201,6 +205,32 @@ def test_sweeps_agree_with_per_preference_oracle(graph):
     listed = [p.entries for p in enumerate_fpf(graph)]
     assert listed == sorted(set().union(*oracle.values()))
     assert count_fpf_brute(graph) == len(listed) == total_fpf_count(graph)
+    for pi in hamiltonian_paths(graph):
+        box = {p.entries for p in enumerate_fibre(pi, graph)}
+        assert fibre_size(pi, graph) == len(box)
+        assert box == oracle[pi.word]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_follows_the_stated_availability_rule(data):
+    """Replay each car on a LotState: it takes the first spot at or after its
+    preference that `is_available` allows, and the result is friendship_park's."""
+    graph = data.draw(small_graphs(max_n=6))
+    n = graph.n
+    entries = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    state = LotState.empty(n)
+    for car, pref in enumerate(entries, start=1):
+        spot = next((s for s in range(pref, n + 1) if is_available(state, graph, car, s)), None)
+        if spot is None:
+            expected = Failure(car)
+            break
+        state = state.place(spot, car)
+    else:
+        spot_of = {car: s for s, car in enumerate(state.occupancy, start=1)}
+        displacement = tuple(spot_of[car] - entries[car - 1] for car in range(1, n + 1))
+        expected = Success(Permutation(state.occupancy), displacement)
+    assert friendship_park(make_preference(entries), graph) == expected
 
 
 class TestContainment:

@@ -1,8 +1,10 @@
 import itertools
+import random
 from math import factorial, prod
 
 import pytest
 
+from parkfun import structure
 from parkfun import (
     NotHamiltonianPath,
     Permutation,
@@ -101,6 +103,13 @@ class TestIsBlocker:
         assert is_blocker(2, 4, PI_FIG4, FIG4)
         assert is_blocker(1, 8, PI_FIG4, FIG4)
 
+    def test_rejects_bad_values_and_sizes(self, c4):
+        for j, i in ((0, 4), (9, 4), (4, 0), (4, 9)):
+            with pytest.raises(ValueError, match="outside"):
+                is_blocker(j, i, PI_FIG4, FIG4)
+        with pytest.raises(ValueError, match="8 entries but the graph has 4 vertices"):
+            is_blocker(8, 4, PI_FIG4, c4)
+
 
 class TestBlockingSequence:
     def test_worked_example(self):
@@ -116,6 +125,16 @@ class TestBlockingSequence:
     def test_second_worked_example(self):
         run = blocking_sequence(6, PI_FIG4, FIG4)
         assert run.elements == (7, 1, 5, 2, 4, 6)
+
+    def test_rejects_bad_values_and_sizes(self, c4):
+        for i in (0, 9):
+            with pytest.raises(ValueError, match="outside"):
+                blocking_sequence(i, PI_FIG4, FIG4)
+        # Car 1's run stops at once, so only the size check can catch this.
+        with pytest.raises(ValueError, match="8 entries but the graph has 4 vertices"):
+            blocking_sequence(1, PI_FIG4, c4)
+        with pytest.raises(ValueError, match="4 entries but the graph has 8 vertices"):
+            blocking_sequence(4, Permutation((4, 3, 2, 1)), FIG4)
 
 
 class TestFibreCharacterisation:
@@ -161,6 +180,38 @@ class TestFibreCharacterisation:
     def test_rejects_non_hamiltonian(self, c4):
         with pytest.raises(NotHamiltonianPath):
             fibre_characterisation(Permutation((1, 3, 2, 4)), c4)
+
+    def test_scans_without_the_public_helpers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scan must not go through the public helpers")
+
+        monkeypatch.setattr(structure, "blocking_sequence", refuse)
+        monkeypatch.setattr(structure, "inverse_position", refuse)
+        chi = fibre_characterisation(PI_FIG4, FIG4)
+        assert chi.spot_sets == ((3, 3), (2, 5), (8, 8), (2, 6), (3, 4), (2, 7), (2, 2), (1, 1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_box_corners_on_large_random_graphs(self, seed):
+        """At n=40, each car moved down to lo (all others at hi) still gives
+        the outcome, and moved one spot further it does not."""
+        rng = random.Random(seed)
+        n = 40
+        word = rng.sample(range(1, n + 1), n)
+        planted = list(zip(word, word[1:]))
+        chords = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.3]
+        graph = make_graph(n, planted + chords)
+        pi = Permutation(tuple(word))
+        chi = fibre_characterisation(pi, graph)
+        assert any(lo < hi for lo, hi in chi.spot_sets)
+        his = [hi for _, hi in chi.spot_sets]
+        for car, (lo, _) in enumerate(chi.spot_sets, start=1):
+            corner = his[: car - 1] + [lo] + his[car:]
+            res = friendship_park(make_preference(corner), graph)
+            assert isinstance(res, Success) and res.outcome == pi
+            if lo > 1:
+                corner[car - 1] = lo - 1
+                res = friendship_park(make_preference(corner), graph)
+                assert not (isinstance(res, Success) and res.outcome == pi)
 
 
 class TestFibreSize:

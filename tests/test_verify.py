@@ -1,6 +1,6 @@
 import pytest
 
-from parkfun import friendship, verify
+from parkfun import Direction, friendship, verify
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -86,8 +86,33 @@ def test_cycle_suite_small():
     assert_all_pass(cycle_suite([3, 4]))
 
 
+def test_cycle_suite_reports_a_wrong_closed_form(monkeypatch):
+    real = verify.cycle_fibre_size
+
+    def off_by_one(c):
+        shift = c.direction is Direction.INCREASING and c.start == 2
+        return real(c) + shift
+
+    monkeypatch.setattr(verify, "cycle_fibre_size", off_by_one)
+    failed = [c for c in cycle_suite([4]) if not c.passed]
+    assert [c.name for c in failed] == ["cycle-fibre-closed-forms n=4"]
+    assert failed[0].detail == "(2, 3, 4, 1): closed 7, product 6, brute 6"
+
+
 def test_bijection_suite_small():
     assert_all_pass(bijection_suite(range(1, 5)))
+
+
+def test_bijection_suite_reports_a_wrong_decomposition(monkeypatch):
+    real = verify._brute_minimal_blocks
+
+    def merged(word):
+        return [(1, 3)] if word == (2, 1, 3) else real(word)
+
+    monkeypatch.setattr(verify, "_brute_minimal_blocks", merged)
+    failed = [c for c in bijection_suite([3]) if not c.passed]
+    assert [c.name for c in failed] == ["component-decomposition n=3"]
+    assert failed[0].detail == "(2, 1, 3)"
 
 
 def test_run_suite_dispatch():
