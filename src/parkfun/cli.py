@@ -53,7 +53,7 @@ from .structure import (
     fig4_graph,
     total_fpf_count,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import DEFAULT_RANGES, SUITE_NAMES, run_suite
 
 
 class UsageError(ValueError):
@@ -316,6 +316,13 @@ def cmd_verify(args, say) -> tuple[dict, dict, int]:
     n_values = _parse_n_range(args.n) if args.n else None
     inputs = {"suite": args.suite, "n": args.n, "force": bool(args.force)}
     checks = run_suite(args.suite, n_values, force=args.force)
+    if not checks:
+        # Each suite's default range starts at its smallest n; only a range
+        # wholly below it selects nothing.
+        raise UsageError(
+            f"suite {args.suite!r} has no checks for n = {args.n}; "
+            f"its smallest n is {DEFAULT_RANGES[args.suite].start}"
+        )
     for c in checks:
         say(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
     passed = all(c.passed for c in checks)

@@ -9,10 +9,12 @@ in the decreasing case because there every pair of vertices is adjacent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import Permutation
 
@@ -74,8 +76,12 @@ def _exact_div3(value: int) -> int:
     return value // 3
 
 
-def cycle_fibre_size(c: CyclicOutcome) -> int:
-    """Closed-form fibre size of a rotation outcome on the cycle graph."""
+def _factorials(m: int) -> list[int]:
+    """[0!, 1!, ..., m!], each entry one multiplication from the last."""
+    return list(accumulate(range(1, m + 1), operator.mul, initial=1))
+
+
+def _cycle_fibre_size(c: CyclicOutcome, fact: Callable[[int], int]) -> int:
     n, i = c.n, c.start
     if c.direction is Direction.DECREASING:
         if i == n:
@@ -88,8 +94,13 @@ def cycle_fibre_size(c: CyclicOutcome) -> int:
             return i + 1
         return (i + 1) * (i + 2)
     if i <= 3:
-        return factorial(n + 1 - i) * factorial(i - 1)
-    return _exact_div3(factorial(n - i + 1) * factorial(i))
+        return fact(n + 1 - i) * fact(i - 1)
+    return _exact_div3(fact(n - i + 1) * fact(i))
+
+
+def cycle_fibre_size(c: CyclicOutcome) -> int:
+    """Closed-form fibre size of a rotation outcome on the cycle graph."""
+    return _cycle_fibre_size(c, factorial)
 
 
 def cycle_total_count(n: int) -> int:
@@ -101,4 +112,5 @@ def cycle_total_count(n: int) -> int:
     """
     if n < 3:
         raise ValueError("the cycle graph needs n >= 3")
-    return sum(cycle_fibre_size(c) for c in cyclic_outcomes(n))
+    fact = _factorials(n + 1).__getitem__
+    return sum(_cycle_fibre_size(c, fact) for c in cyclic_outcomes(n))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .classical import _all_friends, classical_park
 from .core import ParkingPreference, Permutation, Success, _require_ints
-from .cycle import increasing_word
+from .cycle import _factorials, increasing_word
 from .friendship import _sweep
 from .notation import format_word_compact
 
@@ -167,12 +167,16 @@ def is_cyclic_pf(p: ParkingPreference) -> int | None:
     return _rotation_start(res.outcome.word) if isinstance(res, Success) else None
 
 
+def _cyclic_fibre_size(start: int, n: int, fact: Callable[[int], int]) -> int:
+    return fact(n + 1 - start) * fact(start - 1)
+
+
 def cyclic_fibre_size(start: int, n: int) -> int:
     """Number of preferences whose classical outcome is the increasing
     rotation from `start`: (n+1-start)! * (start-1)!."""
     if not 1 <= start <= n:
         raise ValueError(f"start {start} is outside [1, {n}]")
-    return factorial(n + 1 - start) * factorial(start - 1)
+    return _cyclic_fibre_size(start, n, factorial)
 
 
 def cyclic_total_count(n: int) -> int:
@@ -184,7 +188,8 @@ def cyclic_total_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return sum(cyclic_fibre_size(start, n) for start in range(1, n + 1))
+    fact = _factorials(n).__getitem__
+    return sum(_cyclic_fibre_size(start, n, fact) for start in range(1, n + 1))
 
 
 def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:

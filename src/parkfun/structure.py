@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import FriendshipGraph, ParkingPreference, Permutation, inverse_position, make_graph
 from .limits import ensure_within_cap
@@ -69,31 +69,43 @@ def is_hamiltonian_path(perm: Permutation, graph: FriendshipGraph) -> bool:
     return all(graph.adjacent(word[k], word[k + 1]) for k in range(len(word) - 1))
 
 
-def hamiltonian_paths(graph: FriendshipGraph) -> Iterator[Permutation]:
-    """Every Hamiltonian path of the graph, in lexicographic word order.
+def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(word, fibre size) for every Hamiltonian path, in lexicographic word order.
 
     Depth-first backtracking, extending partial paths by ascending vertex
-    label; for the single-vertex graph the trivial path is yielded.
+    label. Car word[k]'s blocking run reads only word[0..k], so its length
+    is known as soon as the DFS appends word[k]: the fibre size is carried
+    down the DFS as a running product.
     """
     n = graph.n
-    ordered = [()] + [tuple(sorted(graph.neighbors(v))) for v in range(1, n + 1)]
+    neighbors = graph._neighbors
+    ordered = [()] + [tuple(sorted(neighbors[v])) for v in range(1, n + 1)]
     used = [False] * (n + 1)
     path: list[int] = []
 
-    def extend(v: int) -> Iterator[Permutation]:
+    def extend(v: int, size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        k = len(path)
         path.append(v)
         used[v] = True
-        if len(path) == n:
-            yield Permutation(tuple(path))
+        size *= k - _run_start(path, k, neighbors) + 1
+        if k + 1 == n:
+            yield tuple(path), size
         else:
             for w in ordered[v]:
                 if not used[w]:
-                    yield from extend(w)
+                    yield from extend(w, size)
         path.pop()
         used[v] = False
 
     for start in range(1, n + 1):
-        yield from extend(start)
+        yield from extend(start, 1)
+
+
+def hamiltonian_paths(graph: FriendshipGraph) -> Iterator[Permutation]:
+    """Every Hamiltonian path of the graph, in lexicographic word order;
+    for the single-vertex graph the trivial path is yielded."""
+    for word, _ in _leaves(graph):
+        yield Permutation(word)
 
 
 def has_hamiltonian_path(graph: FriendshipGraph) -> bool:
@@ -101,7 +113,7 @@ def has_hamiltonian_path(graph: FriendshipGraph) -> bool:
     return next(hamiltonian_paths(graph), None) is not None
 
 
-def _blocks(word: tuple[int, ...], k: int, i: int, friends: frozenset[int]) -> bool:
+def _blocks(word: Sequence[int], k: int, i: int, friends: frozenset[int]) -> bool:
     """Does the value at word index k block car i, whose friend set is `friends`?"""
     if word[k] <= i:
         return True
@@ -111,7 +123,7 @@ def _blocks(word: tuple[int, ...], k: int, i: int, friends: frozenset[int]) -> b
     return False
 
 
-def _run_start(word: tuple[int, ...], k: int, neighbors) -> int:
+def _run_start(word: Sequence[int], k: int, neighbors) -> int:
     """Index where the maximal blocking run ending at word index k starts."""
     i = word[k]
     friends = neighbors[i]
@@ -190,7 +202,7 @@ def enumerate_fibre(
 def total_fpf_count(graph: FriendshipGraph) -> int:
     """Total number of friendship parking functions: fibre sizes summed over
     all Hamiltonian paths (zero when the graph has none)."""
-    return sum(fibre_size(pi, graph) for pi in hamiltonian_paths(graph))
+    return sum(size for _, size in _leaves(graph))
 
 
 # 8-vertex example graph used in the worked fibre computation: a spanning

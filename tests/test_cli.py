@@ -356,6 +356,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "cycle", "--n", "6..3")
         assert code == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_range_with_no_checks_is_a_usage_error(self, capsys, json_flag):
+        code, out, err = run(capsys, "verify", "cycle", "--n", "2", *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite 'cycle' has no checks for n = 2; its smallest n is 3\n"
+
+    @pytest.mark.parametrize(
+        "suite, n_range, total", [("cycle", "1..3", 4), ("all", "1..2", 21)]
+    )
+    def test_range_below_a_suite_runs_what_applies(self, capsys, suite, n_range, total):
+        code, out, _ = run(capsys, "verify", suite, "--n", n_range)
+        assert code == 0
+        assert out.endswith(f"{total}/{total} checks passed\n")
+
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_cap_setting_is_a_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)

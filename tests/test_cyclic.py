@@ -192,6 +192,15 @@ class TestCounts:
     def test_total_sequence(self):
         assert [cyclic_total_count(n) for n in range(1, 6)] == [1, 3, 10, 40, 192]
 
+    def test_total_equals_sum_of_fibre_sizes(self):
+        for n in [*range(1, 61), 500, 2000]:
+            total = sum(cyclic_fibre_size(start, n) for start in range(1, n + 1))
+            assert cyclic_total_count(n) == total
+            if n <= 60:
+                assert total == sum(
+                    factorial(n + 1 - start) * factorial(start - 1) for start in range(1, n + 1)
+                )
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_total_matches_brute_and_components(self, n):
         brute = count_cyclic_brute(n)

@@ -197,15 +197,27 @@ def small_graphs(draw, max_n=5):
     return make_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_graphs())
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(max_n=7))
 def test_sweeps_agree_with_per_preference_oracle(graph):
+    """Paths and total against S_n filtered by edges and per-path fibre sizes
+    (n <= 7); the sweeps against per-preference simulation (n <= 5)."""
+    n = graph.n
+    paths = list(hamiltonian_paths(graph))
+    assert [pi.word for pi in paths] == [
+        w
+        for w in itertools.permutations(range(1, n + 1))
+        if is_hamiltonian_path(Permutation(w), graph)
+    ]
+    assert total_fpf_count(graph) == sum(fibre_size(pi, graph) for pi in paths)
+    if n > 5:
+        return
     oracle = brute_fibres_by_outcome(graph)
     assert brute_fibre_counts(graph) == {word: len(f) for word, f in oracle.items()}
     listed = [p.entries for p in enumerate_fpf(graph)]
     assert listed == sorted(set().union(*oracle.values()))
     assert count_fpf_brute(graph) == len(listed) == total_fpf_count(graph)
-    for pi in hamiltonian_paths(graph):
+    for pi in paths:
         box = {p.entries for p in enumerate_fibre(pi, graph)}
         assert fibre_size(pi, graph) == len(box)
         assert box == oracle[pi.word]

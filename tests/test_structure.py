@@ -273,6 +273,21 @@ class TestTotalCount:
     def test_single_vertex(self):
         assert total_fpf_count(make_graph(1, [])) == 1
 
+    def test_fig4(self):
+        assert total_fpf_count(FIG4) == 20228
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complete_graph_is_classical(self, n):
+        assert total_fpf_count(graph_generator("complete", n)) == (n + 1) ** (n - 1)
+
+    def test_counts_without_rechecking_paths(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the count must not re-check or re-characterise a path")
+
+        monkeypatch.setattr(structure, "is_hamiltonian_path", refuse)
+        monkeypatch.setattr(structure, "fibre_characterisation", refuse)
+        assert total_fpf_count(FIG4) == 20228
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_enumeration(self, n, cycle_brute):
         counts, _ = cycle_brute(n)
