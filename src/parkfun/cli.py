@@ -9,11 +9,12 @@ failed checks, non-Hamiltonian outcome), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .classical import classical_park, total_displacement
 from .core import (
@@ -236,17 +237,16 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
         space = n ** n
         result["search_space"] = space
         say(f"search space: {n}^{n} = {space} preferences")
-        sweep = {"force": True, "workers": args.workers}
         if args.list:
             if args.target == "fpf":
-                listing = enumerate_fpf(graph, **sweep)
+                listing = enumerate_fpf(graph, force=True)
             else:
-                listing = enumerate_cyclic_pf(n, **sweep)
+                listing = enumerate_cyclic_pf(n, force=True)
             brute = _list_preferences(listing, args, say, result)
         elif args.target == "fpf":
-            brute = count_fpf_brute(graph, **sweep)
+            brute = count_fpf_brute(graph, force=True)
         else:
-            brute = count_cyclic_brute(n, **sweep)
+            brute = count_cyclic_brute(n, force=True)
         result["brute"] = brute
         say(f"brute: {brute}")
 
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmode.add_argument("--brute", action="store_true", help="exhaustive simulation only")
     cmode.add_argument("--both", action="store_true", help="closed form and brute force; exit 1 on mismatch")
     count.add_argument("--list", action="store_true", help="list preferences found by the sweep")
-    count.add_argument("--workers", type=int, default=1, help="parallel shards for the sweep")
+    count.add_argument("--workers", type=int, default=1, help="accepted and ignored: the sweep is serial")
     count.add_argument("--force", action="store_true", help="ignore the search-space cap")
 
     bij = add("bijection", cmd_bijection, "map cyclic preferences to permutation components")
@@ -408,22 +408,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _ints_in_full() -> Iterator[None]:
+    """Lift Python's limit on int <-> str conversion (4,300 digits by default,
+    absent before 3.10.7) for one call: closed-form totals outgrow it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     say = (lambda *a: None) if args.json else print
     start = time.perf_counter()
-    try:
-        inputs, result, code = args.handler(args, say)
-    except (UsageError, BadCapSetting) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SearchCapExceeded as e:
-        print(f"error: {e} (CLI: --force)", file=sys.stderr)
-        return 2
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.json:
-        print(RunReport(args.command, inputs, result, elapsed_ms).to_json())
+    with _ints_in_full():
+        try:
+            inputs, result, code = args.handler(args, say)
+        except (UsageError, BadCapSetting) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except SearchCapExceeded as e:
+            print(f"error: {e} (CLI: --force)", file=sys.stderr)
+            return 2
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        if args.json:
+            print(RunReport(args.command, inputs, result, elapsed_ms).to_json())
     return code
 
 

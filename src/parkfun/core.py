@@ -2,7 +2,7 @@
 and parking outcomes.
 
 Cars, spots and vertices are 1-indexed throughout. All types are immutable
-after construction and safe to share between workers.
+after construction.
 """
 
 from __future__ import annotations

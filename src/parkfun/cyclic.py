@@ -240,25 +240,22 @@ def psi_inverse(c: Component) -> ParkingPreference:
     return ParkingPreference(tuple(entries))
 
 
-def _cyclic_sweep(n: int, force: bool, workers: int = 1) -> Iterator[tuple[int, ...]]:
+def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:
     """Entries of every cyclic preference of length n, lexicographically."""
-    for entries, word in _sweep(n, _all_friends(n), force, workers):
+    for entries, word in _sweep(n, _all_friends(n), force):
         if _rotation_start(word) is not None:
             yield entries
 
 
-def enumerate_cyclic_pf(
-    n: int, *, force: bool = False, workers: int = 1
-) -> Iterator[ParkingPreference]:
+def enumerate_cyclic_pf(n: int, *, force: bool = False) -> Iterator[ParkingPreference]:
     """All cyclic parking functions of length n, lexicographically.
 
-    Exhaustive sweep over [n]^n, subject to the brute-force cap; any worker
-    count gives the same stream.
+    Exhaustive sweep over [n]^n, subject to the brute-force cap.
     """
-    for entries in _cyclic_sweep(n, force, workers):
+    for entries in _cyclic_sweep(n, force):
         yield ParkingPreference(entries)
 
 
-def count_cyclic_brute(n: int, *, force: bool = False, workers: int = 1) -> int:
+def count_cyclic_brute(n: int, *, force: bool = False) -> int:
     """Number of cyclic parking functions by exhaustive simulation."""
-    return sum(1 for _ in _cyclic_sweep(n, force, workers))
+    return sum(1 for _ in _cyclic_sweep(n, force))

@@ -13,7 +13,6 @@ listing, here, in `cyclic` and in `verify`, is a filter over its stream.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -136,68 +135,34 @@ def is_friendship_pf(p: ParkingPreference, graph: FriendshipGraph) -> bool:
     return isinstance(friendship_park(p, graph), Success)
 
 
-def _passing(
-    n: int, neighbor_sets, firsts: Sequence[int]
+def _sweep(
+    n: int, neighbor_sets, force: bool = False
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(entries, outcome word) for every passing preference whose first entry
-    lies in `firsts`, lexicographically."""
-    spots = range(1, n + 1)
-    for entries in itertools.product(firsts, *[spots] * (n - 1)):
+    """The exhaustive sweep of [n]^n behind every brute-force count and listing.
+
+    Yields (entries, outcome word) for every preference on which all cars
+    park, in lexicographic order. The cap applies to the nominal n^n.
+    """
+    ensure_within_cap(n ** n, force)
+    for entries in itertools.product(range(1, n + 1), repeat=n):
         word = _run(entries, n, neighbor_sets)
         if not isinstance(word, int):
             yield entries, word
 
 
-def _shard(n: int, neighbor_sets, first: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Worker: the part of the sweep whose first entry is `first`."""
-    return list(_passing(n, neighbor_sets, (first,)))
-
-
-def _sweep(
-    n: int, neighbor_sets, force: bool = False, workers: int = 1
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The exhaustive sweep of [n]^n behind every brute-force count and listing.
-
-    Yields (entries, outcome word) for every preference on which all cars
-    park, in lexicographic order. The cap applies to the nominal n^n. With
-    more than one worker the sweep is sharded by first entry and merged back
-    in order, so the stream is identical for any worker count; the pool
-    never exceeds n shards or the machine's cores.
-    """
-    ensure_within_cap(n ** n, force)
-    workers = min(workers, n, os.cpu_count() or 1)
-    if workers <= 1:
-        yield from _passing(n, neighbor_sets, range(1, n + 1))
-        return
-    # Imported here: loading the process pool costs every import of parkfun
-    # tens of milliseconds, and only sharded sweeps use it.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shards = pool.map(
-            _shard, itertools.repeat(n), itertools.repeat(neighbor_sets), range(1, n + 1)
-        )
-        for shard in shards:
-            yield from shard
-
-
-def enumerate_fpf(
-    graph: FriendshipGraph, *, force: bool = False, workers: int = 1
-) -> Iterator[ParkingPreference]:
+def enumerate_fpf(graph: FriendshipGraph, *, force: bool = False) -> Iterator[ParkingPreference]:
     """All friendship parking functions for `graph`, lexicographically.
 
     Brute-force sweep over [n]^n, refused above the configured cap unless
-    `force` is set; any worker count gives the same stream.
+    `force` is set.
     """
-    for entries, _ in _sweep(graph.n, graph._neighbors, force, workers):
+    for entries, _ in _sweep(graph.n, graph._neighbors, force):
         yield ParkingPreference(entries)
 
 
-def count_fpf_brute(
-    graph: FriendshipGraph, *, force: bool = False, workers: int = 1
-) -> int:
+def count_fpf_brute(graph: FriendshipGraph, *, force: bool = False) -> int:
     """Number of friendship parking functions, by exhaustive simulation."""
-    return sum(1 for _ in _sweep(graph.n, graph._neighbors, force, workers))
+    return sum(1 for _ in _sweep(graph.n, graph._neighbors, force))
 
 
 def brute_fibre_counts(

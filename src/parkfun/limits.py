@@ -12,13 +12,22 @@ class BadCapSetting(ValueError):
     """``PARKFUN_BRUTE_CAP`` is set but is not a positive integer."""
 
 
+def _size_text(size: int) -> str:
+    """`size` in decimal or, past about 4,200 digits (Python refuses to print
+    an int over 4,300 digits by default), as a power of ten it exceeds."""
+    if size.bit_length() <= 14_000:
+        return str(size)
+    # 0.30102999 < log10(2), so this power of ten is always below `size`.
+    return f"more than 10^{(size.bit_length() - 1) * 30102999 // 10 ** 8}"
+
+
 class SearchCapExceeded(RuntimeError):
     """A brute-force sweep or listing was refused because it would be too large."""
 
     def __init__(self, size: int, cap: int):
         super().__init__(
-            f"search space of {size} preferences exceeds the cap of {cap}; "
-            f"force the run or raise {CAP_ENV_VAR}"
+            f"search space of {_size_text(size)} preferences exceeds the cap of "
+            f"{_size_text(cap)}; force the run or raise {CAP_ENV_VAR}"
         )
         self.size = size
         self.cap = cap

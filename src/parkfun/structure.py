@@ -73,32 +73,37 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
     """(word, fibre size) for every Hamiltonian path, in lexicographic word order.
 
     Depth-first backtracking, extending partial paths by ascending vertex
-    label. Car word[k]'s blocking run reads only word[0..k], so its length
-    is known as soon as the DFS appends word[k]: the fibre size is carried
-    down the DFS as a running product.
+    label, on an explicit stack: a path is as deep as the graph is large, so
+    recursion would hit Python's limit. Car word[k]'s blocking run reads only
+    word[0..k], so its length is known as soon as the DFS appends word[k]:
+    the fibre size is carried down the DFS as a running product.
     """
     n = graph.n
     neighbors = graph._neighbors
     ordered = [()] + [tuple(sorted(neighbors[v])) for v in range(1, n + 1)]
     used = [False] * (n + 1)
     path: list[int] = []
-
-    def extend(v: int, size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # stack[k]: the untried candidates for path[k], and the product over path[:k]
+    stack = [(iter(range(1, n + 1)), 1)]
+    while stack:
+        candidates, size = stack[-1]
+        for v in candidates:
+            if not used[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
+            continue
         k = len(path)
         path.append(v)
-        used[v] = True
         size *= k - _run_start(path, k, neighbors) + 1
         if k + 1 == n:
             yield tuple(path), size
+            path.pop()
         else:
-            for w in ordered[v]:
-                if not used[w]:
-                    yield from extend(w, size)
-        path.pop()
-        used[v] = False
-
-    for start in range(1, n + 1):
-        yield from extend(start, 1)
+            used[v] = True
+            stack.append((iter(ordered[v]), size))
 
 
 def hamiltonian_paths(graph: FriendshipGraph) -> Iterator[Permutation]:

