@@ -4,57 +4,24 @@ Subcommands: park, fibre, count, bijection, verify, validate-report.
 Exit codes: 0 success, 1 domain failure (car cannot park, count mismatch,
 failed checks, non-Hamiltonian outcome), 2 usage error.
 `--json` emits exactly one RunReport object on stdout.
+
+Each subcommand imports the modules it runs when it runs, so a call loads
+only its own part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .classical import classical_park, total_displacement
-from .core import (
-    Failure,
-    FriendshipGraph,
-    ParkingPreference,
-    Permutation,
-    graph_generator,
-    parse_graph_text,
-)
-from .cycle import cycle_total_count
-from .cyclic import (
-    NotCyclicPreference,
-    _psi,
-    components,
-    count_cyclic_brute,
-    cyclic_total_count,
-    enumerate_cyclic_pf,
-    inv_seq,
-    psi_inverse,
-)
-from .friendship import count_fpf_brute, enumerate_fpf, friendship_park
-from .limits import BadCapSetting, SearchCapExceeded, ensure_within_cap
-from .notation import (
-    format_blocks,
-    format_interval,
-    format_word,
-    format_word_compact,
-    parse_word,
-)
-from .report import RunReport, validate_report
-from .structure import (
-    NotHamiltonianPath,
-    enumerate_fibre,
-    fibre_characterisation,
-    fibre_size,
-    fig4_graph,
-    total_fpf_count,
-)
-from .verify import DEFAULT_RANGES, SUITE_NAMES, run_suite
+from .limits import SUITE_NAMES, BadCapSetting, SearchCapExceeded, ensure_sweep_within_cap
+
+if TYPE_CHECKING:
+    from .core import FriendshipGraph, ParkingPreference, Permutation
 
 
 class UsageError(ValueError):
@@ -62,6 +29,9 @@ class UsageError(ValueError):
 
 
 def _parse_preference(text: str) -> ParkingPreference:
+    from .core import ParkingPreference
+    from .notation import parse_word
+
     try:
         return ParkingPreference(parse_word(text))
     except ValueError as e:
@@ -69,34 +39,64 @@ def _parse_preference(text: str) -> ParkingPreference:
 
 
 def _parse_permutation(text: str) -> Permutation:
+    from .core import Permutation
+    from .notation import parse_word
+
     try:
         return Permutation(parse_word(text))
     except ValueError as e:
         raise UsageError(f"bad permutation: {e}") from None
 
 
-def _resolve_graph(spec: str) -> FriendshipGraph:
+def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
+    """The vertex count `spec` names, and a function that builds its graph.
+
+    The count comes from the spec or the file header alone, so a caller can
+    hold it to the input's length or to the cap before a graph of hostile
+    size is built.
+    """
     if spec == "fig4":
-        return fig4_graph()
+        from .structure import fig4_graph
+
+        graph = fig4_graph()
+        return graph.n, lambda: graph
     if spec.startswith("file:"):
+        from .core import parse_graph_header, parse_graph_text
+
         path = Path(spec[len("file:"):])
         try:
             text = path.read_text()
         except OSError as e:
             raise UsageError(f"cannot read graph file: {e}") from None
         try:
-            return parse_graph_text(text)
+            n = parse_graph_header(text)
         except ValueError as e:
             raise UsageError(f"bad graph file: {e}") from None
+        return n, _reported_as(lambda: parse_graph_text(text), "bad graph file")
     family, sep, size = spec.partition(":")
     if sep:
+        from .core import graph_generator
+
         try:
-            return graph_generator(family, int(size))
+            n = int(size)
         except ValueError as e:
             raise UsageError(f"bad graph spec {spec!r}: {e}") from None
+        return n, _reported_as(lambda: graph_generator(family, n), f"bad graph spec {spec!r}")
     raise UsageError(
         f"graph spec {spec!r} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"
     )
+
+
+def _reported_as(build: Callable[[], FriendshipGraph], what: str) -> Callable[[], FriendshipGraph]:
+    """`build`, with a malformed graph reported as a usage error about `what`."""
+
+    def checked() -> FriendshipGraph:
+        try:
+            return build()
+        except ValueError as e:
+            raise UsageError(f"{what}: {e}") from None
+
+    return checked
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -116,6 +116,8 @@ def _parse_n_range(text: str) -> list[int]:
 def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dict) -> int:
     """Print each preference as it is yielded and return how many there were;
     only --json keeps the listing, as result["preferences"] for the report."""
+    from .notation import format_word
+
     kept = result.setdefault("preferences", []) if args.json else None
     count = 0
     for count, p in enumerate(prefs, start=1):
@@ -126,17 +128,21 @@ def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dic
 
 
 def cmd_park(args, say) -> tuple[dict, dict, int]:
+    from .classical import classical_park, total_displacement
+    from .core import Failure
+    from .notation import format_word
+
     p = _parse_preference(args.preference)
     inputs = {"mode": args.mode, "preference": list(p.entries), "graph": args.graph}
     if args.mode == "friendship":
+        from .friendship import friendship_park
+
         if args.graph is None:
             raise UsageError("friendship mode needs a graph (-g)")
-        graph = _resolve_graph(args.graph)
-        if graph.n != p.n:
-            raise UsageError(
-                f"preference has {p.n} cars but the graph has {graph.n} vertices"
-            )
-        res = friendship_park(p, graph)
+        n, build = _graph_spec(args.graph)
+        if n != p.n:
+            raise UsageError(f"preference has {p.n} cars but the graph has {n} vertices")
+        res = friendship_park(p, build())
     else:
         if args.graph is not None:
             raise UsageError("classical mode takes no graph")
@@ -157,7 +163,10 @@ def cmd_park(args, say) -> tuple[dict, dict, int]:
 
 
 def cmd_fibre(args, say) -> tuple[dict, dict, int]:
-    graph = _resolve_graph(args.graph)
+    from .notation import format_interval
+    from .structure import NotHamiltonianPath, enumerate_fibre, fibre_characterisation, fibre_size
+
+    n, build = _graph_spec(args.graph)
     perm = _parse_permutation(args.outcome)
     mode = "count" if args.count else "list" if args.list else "sets"
     inputs = {
@@ -166,8 +175,9 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
         "mode": mode,
         "force": bool(args.force),
     }
-    if perm.n != graph.n:
-        raise UsageError(f"outcome has {perm.n} entries but the graph has {graph.n} vertices")
+    if perm.n != n:
+        raise UsageError(f"outcome has {perm.n} entries but the graph has {n} vertices")
+    graph = build()
     try:
         if mode == "sets":
             chi = fibre_characterisation(perm, graph)
@@ -198,14 +208,12 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
     if args.target == "fpf":
         if args.graph is None:
             raise UsageError("count fpf needs a graph (-g)")
-        graph = _resolve_graph(args.graph)
-        n = graph.n
+        n, build = _graph_spec(args.graph)
     else:
         if args.n is None:
             raise UsageError("count cyclic needs -n")
         if args.n < 1:
             raise UsageError("-n must be positive")
-        graph = None
         n = args.n
     inputs = {
         "target": args.target,
@@ -219,16 +227,26 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
     result: dict = {}
     code = 0
     if mode != "formula":
-        # Refuse (or reject a malformed cap) before anything reaches stdout.
-        ensure_within_cap(n ** n, args.force)
+        # Refuse (or reject a malformed cap) before anything is built or
+        # reaches stdout.
+        ensure_sweep_within_cap(n, args.force)
+    graph = build() if args.target == "fpf" else None
 
     if mode in ("formula", "both"):
         if args.target == "fpf":
+            from .core import graph_generator
+
             if n >= 3 and graph == graph_generator("cycle", n):
+                from .cycle import cycle_total_count
+
                 formula = cycle_total_count(n)
             else:
+                from .structure import total_fpf_count
+
                 formula = total_fpf_count(graph)
         else:
+            from .cyclic import cyclic_total_count
+
             formula = cyclic_total_count(n)
         result["formula"] = formula
         say(f"formula: {formula}")
@@ -237,16 +255,18 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
         space = n ** n
         result["search_space"] = space
         say(f"search space: {n}^{n} = {space} preferences")
-        if args.list:
-            if args.target == "fpf":
-                listing = enumerate_fpf(graph, force=True)
-            else:
-                listing = enumerate_cyclic_pf(n, force=True)
-            brute = _list_preferences(listing, args, say, result)
-        elif args.target == "fpf":
-            brute = count_fpf_brute(graph, force=True)
+        if args.target == "fpf":
+            from .friendship import count_fpf_brute as count_all, enumerate_fpf as list_all
+
+            space_of = graph
         else:
-            brute = count_cyclic_brute(n, force=True)
+            from .cyclic import count_cyclic_brute as count_all, enumerate_cyclic_pf as list_all
+
+            space_of = n
+        if args.list:
+            brute = _list_preferences(list_all(space_of, force=True), args, say, result)
+        else:
+            brute = count_all(space_of, force=True)
         result["brute"] = brute
         say(f"brute: {brute}")
 
@@ -260,6 +280,9 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
 
 
 def cmd_bijection(args, say) -> tuple[dict, dict, int]:
+    from .cyclic import NotCyclicPreference, _psi, components, inv_seq, psi_inverse
+    from .notation import format_blocks, format_word, format_word_compact
+
     if args.direction == "psi":
         if args.preference is None:
             raise UsageError("bijection psi needs a preference (-p)")
@@ -313,6 +336,8 @@ def cmd_bijection(args, say) -> tuple[dict, dict, int]:
 
 
 def cmd_verify(args, say) -> tuple[dict, dict, int]:
+    from .verify import DEFAULT_RANGES, run_suite
+
     n_values = _parse_n_range(args.n) if args.n else None
     inputs = {"suite": args.suite, "n": args.n, "force": bool(args.force)}
     checks = run_suite(args.suite, n_values, force=args.force)
@@ -336,7 +361,11 @@ def cmd_verify(args, say) -> tuple[dict, dict, int]:
 
 
 def cmd_validate_report(args, say) -> tuple[dict, dict, int]:
+    import json
+
     import jsonschema
+
+    from .report import validate_report
 
     inputs = {"source": "stdin"}
     try:
@@ -439,6 +468,8 @@ def main(argv=None) -> int:
             return 2
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if args.json:
+            from .report import RunReport
+
             print(RunReport(args.command, inputs, result, elapsed_ms).to_json())
     return code
 

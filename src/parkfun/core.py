@@ -201,27 +201,41 @@ def graph_generator(family: str, size: int) -> FriendshipGraph:
     raise ValueError(f"unknown graph family {family!r}")
 
 
+def _graph_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_graph_header(text: str) -> int:
+    """The vertex count in the `n <count>` header of the plain-text graph
+    format, read without parsing any edge, so that a caller can check the
+    size before a graph is built."""
+    for lineno, line in _graph_lines(text):
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "n":
+            raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
+        try:
+            return int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
+    raise ValueError("graph file has no 'n <count>' header")
+
+
 def parse_graph_text(text: str) -> FriendshipGraph:
     """Parse the plain-text graph format.
 
     First meaningful line is `n <count>`, then one edge per line as `u v`.
     Blank lines and lines starting with '#' are ignored.
     """
-    n = None
+    n = parse_graph_header(text)
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = _graph_lines(text)
+    next(lines)  # the header
+    for lineno, line in lines:
         parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
-            continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
@@ -229,8 +243,6 @@ def parse_graph_text(text: str) -> FriendshipGraph:
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers, got {line!r}") from None
         edges.append((u, v))
-    if n is None:
-        raise ValueError("graph file has no 'n <count>' header")
     return make_graph(n, edges)
 
 

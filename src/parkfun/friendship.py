@@ -24,7 +24,7 @@ from .core import (
     Permutation,
     Success,
 )
-from .limits import ensure_within_cap
+from .limits import ensure_sweep_within_cap
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _sweep(
     Yields (entries, outcome word) for every preference on which all cars
     park, in lexicographic order. The cap applies to the nominal n^n.
     """
-    ensure_within_cap(n ** n, force)
+    ensure_sweep_within_cap(n, force)
     for entries in itertools.product(range(1, n + 1), repeat=n):
         word = _run(entries, n, neighbor_sets)
         if not isinstance(word, int):

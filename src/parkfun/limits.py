@@ -7,6 +7,14 @@ CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 # All of [8]^8; keeps un-forced sweeps under a minute on ordinary hardware.
 DEFAULT_CAP = 8 ** 8
 
+# The `verify` suites. Kept here, not in `verify`, so that the CLI can offer
+# them as choices without importing the suites themselves.
+SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
+
+# n ** n is built exactly only up to about this many bits (n up to about
+# 9,000, a millisecond); past it n alone settles a refusal.
+_EXACT_BITS = 1 << 17
+
 
 class BadCapSetting(ValueError):
     """``PARKFUN_BRUTE_CAP`` is set but is not a positive integer."""
@@ -57,5 +65,21 @@ def ensure_within_cap(size: int, force: bool = False) -> None:
     if force:
         return
     cap = brute_cap()
+    if size > cap:
+        raise SearchCapExceeded(size, cap)
+
+
+def ensure_sweep_within_cap(n: int, force: bool = False) -> None:
+    """`ensure_within_cap(n ** n, force)`, without building n ** n when n
+    alone puts it past the cap: for n in the millions that takes seconds."""
+    if force:
+        return
+    cap = brute_cap()
+    bound_bits = max(_EXACT_BITS, cap.bit_length())
+    if n * (n.bit_length() - 1) > bound_bits:
+        # n ** n >= 2 ** (n * floor(log2 n)) > 2 ** bound_bits > cap; the
+        # refusal names that lower bound, printed as a power of ten.
+        raise SearchCapExceeded(1 << bound_bits, cap)
+    size = n ** n
     if size > cap:
         raise SearchCapExceeded(size, cap)

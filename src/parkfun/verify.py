@@ -33,7 +33,7 @@ from .cycle import (
     expand_cyclic,
 )
 from .friendship import _sweep, brute_fibre_counts
-from .limits import ensure_within_cap
+from .limits import SUITE_NAMES, ensure_sweep_within_cap, ensure_within_cap
 from .structure import (
     blocking_sequence,
     enumerate_fibre,
@@ -41,8 +41,6 @@ from .structure import (
     hamiltonian_paths,
     total_fpf_count,
 )
-
-SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
 
 DEFAULT_RANGES = {
     "props": range(1, 5),
@@ -199,7 +197,7 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
     for n in n_values:
         if n < 3:
             continue
-        ensure_within_cap(n ** n, force)
+        ensure_sweep_within_cap(n, force)
         cn = graph_generator("cycle", n)
 
         paths = list(hamiltonian_paths(cn))

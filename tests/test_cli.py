@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from parkfun import ParkingPreference, cli, cyclic, friendship, structure
+from parkfun import ParkingPreference, cli, core, cycle, cyclic, friendship, structure
 from parkfun.cli import main
 from parkfun.report import validate_report
 
@@ -128,7 +128,6 @@ class TestFibre:
             return real(*args)
 
         monkeypatch.setattr(structure, "fibre_characterisation", counting)
-        monkeypatch.setattr(cli, "fibre_characterisation", counting)
         code, _, _ = run(capsys, "fibre", "-g", "fig4", "-o", "87152463", mode)
         assert code == 0
         assert len(calls) == 1
@@ -139,6 +138,42 @@ class TestFibre:
         code, out, _ = run(capsys, "fibre", "-g", f"file:{path}", "-o", "2143", "--count")
         assert code == 0
         assert "fibre size: 12" in out
+
+
+
+class TestHostileSize:
+    """The vertex count is read from the spec or the file header and held to
+    the input or the cap before any graph is built."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["park", "friendship", "-g", "complete:2000", "-p", "1,1"],
+             "preference has 2 cars but the graph has 2000 vertices"),
+            (["park", "friendship", "-g", "FILE", "-p", "1,1"],
+             "preference has 2 cars but the graph has 3000000 vertices"),
+            (["fibre", "-g", "path:3000000", "-o", "2,1"],
+             "outcome has 2 entries but the graph has 3000000 vertices"),
+            (["fibre", "-g", "FILE", "-o", "2,1", "--count"],
+             "outcome has 2 entries but the graph has 3000000 vertices"),
+            (["count", "fpf", "-g", "complete:2000", "--brute"], "exceeds the cap"),
+            (["count", "fpf", "-g", "path:2000000", "--both"], "exceeds the cap"),
+            (["count", "fpf", "-g", "FILE", "--brute", "--list"], "exceeds the cap"),
+        ],
+    )
+    def test_refused_before_the_graph_is_built(self, capsys, monkeypatch, tmp_path, argv, message):
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(core, "make_graph", no_graph)
+        path = tmp_path / "huge.graph"
+        path.write_text("# header only\nn 3000000\n")
+        argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+        assert message in err
 
 
 class TestCount:
@@ -176,7 +211,7 @@ class TestCount:
         "spec, total",
         [
             (["cyclic", "-n", "1600"], lambda: cyclic.cyclic_total_count(1600)),
-            (["fpf", "-g", "cycle:1700"], lambda: cli.cycle_total_count(1700)),
+            (["fpf", "-g", "cycle:1700"], lambda: cycle.cycle_total_count(1700)),
         ],
     )
     def test_totals_past_the_int_digit_limit_print_in_full(self, capsys, monkeypatch, spec, total):
@@ -243,12 +278,12 @@ class TestCount:
         def general_sum(graph):
             raise AssertionError("the cycle graph has a closed form")
 
-        monkeypatch.setattr(cli, "total_fpf_count", general_sum)
+        monkeypatch.setattr(structure, "total_fpf_count", general_sum)
         code, by_spec, _ = run(capsys, "count", "fpf", "-g", f"cycle:{n}")
         assert code == 0
         code, by_file, _ = run(capsys, "count", "fpf", "-g", f"file:{path}")
         assert code == 0
-        assert by_file == by_spec == f"formula: {cli.cycle_total_count(n)}\n"
+        assert by_file == by_spec == f"formula: {cycle.cycle_total_count(n)}\n"
 
     def test_cyclic_list_honours_workers(self, capsys):
         code, report = run_json(capsys, "count", "cyclic", "-n", "3", "--brute", "--list", "--workers", "2")
@@ -324,7 +359,6 @@ class TestBijection:
             return real(perm)
 
         monkeypatch.setattr(cyclic, "components", counting)
-        monkeypatch.setattr(cli, "components", counting)
         code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
         assert code == 0
         assert "host permutation: 21/47536/(10)89" in out

@@ -13,6 +13,7 @@ from parkfun import (
     make_preference,
     parse_graph_text,
 )
+from parkfun.core import parse_graph_header
 
 
 class TestMakePreference:
@@ -168,6 +169,12 @@ class TestGraphFile:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             parse_graph_text("1 2\n")
+        with pytest.raises(ValueError, match="no 'n <count>' header"):
+            parse_graph_header("# only a comment\n\n")
+
+    def test_header_read_alone(self):
+        # The edges are neither parsed nor built: a size check can come first.
+        assert parse_graph_header("# big\n\nn 3000000\n1 2 3\n") == 3000000
 
     def test_bad_edge_line(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from parkfun import (
     make_preference,
     total_fpf_count,
 )
+from parkfun.limits import ensure_sweep_within_cap
 from tests.conftest import brute_fibres_by_outcome
 
 STAR = make_graph(4, [(1, 2), (1, 3), (1, 4)])
@@ -148,6 +149,21 @@ class TestEnumerateFpf:
         # 1600^1600 has over 4,300 digits, more than Python prints by default.
         with pytest.raises(SearchCapExceeded, match="exceeds the cap"):
             count_fpf_brute(graph_generator("cycle", 1600))
+
+    def test_hostile_n_refused_without_building_n_to_the_n(self, monkeypatch):
+        monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+
+        class NoPower(int):
+            def __pow__(self, other, mod=None):
+                raise AssertionError("n ** n was built")
+
+        # 2,000,000^2,000,000 takes seconds to build; n alone puts it past the cap.
+        with pytest.raises(SearchCapExceeded, match=r"search space of more than 10\^\d+ pref"):
+            ensure_sweep_within_cap(NoPower(2_000_000))
+        # Below the digit threshold the refusal still names the size in decimal.
+        with pytest.raises(SearchCapExceeded, match="search space of 387420489 preferences"):
+            ensure_sweep_within_cap(9)
+        ensure_sweep_within_cap(8)
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
     def test_bad_cap_setting_is_a_value_error(self, monkeypatch, raw):

@@ -1,9 +1,16 @@
-"""Import hygiene: the heavy optional modules load only on the paths that use them."""
+"""Import hygiene: the heavy optional modules, and each of the package's own
+modules, load only on the paths that use them."""
 
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import parkfun
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,10 +50,123 @@ print("ok")
 """
 
 
-def test_heavy_modules_load_only_when_used():
+def _python(script: str, *args: str, stdin: str = "") -> str:
+    """Run `script` in a fresh interpreter on this checkout; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, *args],
+        input=stdin, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    return proc.stdout
+
+
+def test_heavy_modules_load_only_when_used():
+    assert _python(SCRIPT) == "ok\n"
+
+
+def test_import_parkfun_loads_no_submodule():
+    script = """
+import sys
+import parkfun
+print(*sorted(m for m in sys.modules if m.startswith("parkfun.")))
+print(parkfun.structure.fibre_size is parkfun.fibre_size, parkfun.notation.__name__)
+"""
+    assert _python(script) == "\nTrue parkfun.notation\n"
+
+
+# Prints the exit code, then every parkfun module loaded by one CLI call.
+CLI_PROBE = """
+import contextlib, io, sys
+from parkfun.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("parkfun.")))
+"""
+
+REPORT = (
+    '{"command": "count", "inputs": {}, "result": {"formula": 192}, "elapsed_ms": 0.1}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, unloaded",
+    [
+        (
+            ["park", "classical", "-p", "3,1,1,2"],
+            "",
+            {"verify", "structure", "cyclic", "cycle", "report"},
+        ),
+        (["validate-report"], REPORT, {"verify", "structure"}),
+    ],
+)
+def test_subcommand_loads_only_its_modules(argv, stdin, unloaded):
+    code, *loaded = _python(CLI_PROBE, *argv, stdin=stdin).split()
+    assert code == "0"
+    assert not {f"parkfun.{m}" for m in unloaded} & set(loaded), loaded
+
+
+# Today's exports, by defining module.
+EXPORTS = {
+    "classical": ["classical_park", "is_parking_function", "total_displacement"],
+    "core": [
+        "Failure", "FriendshipGraph", "ParkOutcome", "ParkingPreference", "Permutation",
+        "Success", "all_labelled_graphs", "graph_generator", "identity_permutation",
+        "inverse_position", "make_graph", "make_preference", "parse_graph_text",
+    ],
+    "cycle": [
+        "CyclicOutcome", "Direction", "cycle_fibre_size", "cycle_total_count",
+        "cyclic_outcomes", "decreasing_word", "expand_cyclic", "increasing_word",
+    ],
+    "cyclic": [
+        "Component", "InversionSequence", "NotCyclicPreference", "components",
+        "count_cyclic_brute", "cyclic_fibre_size", "cyclic_total_count",
+        "enumerate_cyclic_pf", "inv_seq", "inversion_number", "is_cyclic_pf",
+        "perm_from_inv_seq", "psi", "psi_inverse",
+    ],
+    "friendship": [
+        "LotState", "brute_fibre_counts", "count_fpf_brute", "enumerate_fpf",
+        "friendship_park", "is_available", "is_friendship_pf",
+    ],
+    "limits": ["BadCapSetting", "SearchCapExceeded", "brute_cap", "ensure_within_cap"],
+    "report": ["RunReport", "report_schema", "validate_report"],
+    "structure": [
+        "BlockingSequence", "FibreCharacterisation", "NotHamiltonianPath",
+        "blocking_sequence", "enumerate_fibre", "fibre_characterisation", "fibre_size",
+        "fig4_graph", "hamiltonian_paths", "has_hamiltonian_path", "is_blocker",
+        "is_hamiltonian_path", "total_fpf_count",
+    ],
+}
+
+
+class TestExports:
+    def test_all_is_todays_names(self):
+        names = sorted(name for names in EXPORTS.values() for name in names)
+        assert len(names) == 65
+        assert sorted(parkfun.__all__) == names
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_its_defining_modules_object(self, module):
+        defining = importlib.import_module(f"parkfun.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(parkfun, name) is getattr(defining, name), name
+
+    def test_dir_lists_every_export(self):
+        assert set(parkfun.__all__) <= set(dir(parkfun))
+        assert "__version__" in dir(parkfun)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            parkfun.no_such_name
+        assert not hasattr(parkfun, "verify_all")
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from parkfun import *", namespace)
+        assert all(namespace[name] is getattr(parkfun, name) for name in parkfun.__all__)
+
+    def test_submodules_import_by_name(self):
+        from parkfun import cli, verify
+
+        assert isinstance(cli, types.ModuleType) and cli.main
+        assert isinstance(verify, types.ModuleType) and verify.run_suite
