@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -360,22 +361,37 @@ def cmd_verify(args, say) -> tuple[dict, dict, int]:
     return inputs, result, 0 if passed else 1
 
 
+def _finite(text: str) -> float:
+    """A JSON number, or a NaN or Infinity that strict JSON lacks, as a
+    float, refused unless finite (1e999 reads as infinity)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _validation_error() -> type[Exception]:
+    """jsonschema's ValidationError. An except clause evaluates its type only
+    once something is raised, so a report that conforms never loads jsonschema."""
+    from jsonschema import ValidationError
+
+    return ValidationError
+
+
 def cmd_validate_report(args, say) -> tuple[dict, dict, int]:
     import json
-
-    import jsonschema
 
     from .report import validate_report
 
     inputs = {"source": "stdin"}
     try:
-        data = json.load(sys.stdin)
-    except json.JSONDecodeError as e:
+        data = json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         say(f"error: not JSON: {e}")
         return inputs, {"valid": False, "error": str(e)}, 1
     try:
         validate_report(data)
-    except jsonschema.ValidationError as e:
+    except _validation_error() as e:
         say(f"error: {e.message}")
         return inputs, {"valid": False, "error": e.message}, 1
     say("ok")

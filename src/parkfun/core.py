@@ -8,7 +8,6 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -19,8 +18,40 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
 
 
-@dataclass(frozen=True)
-class ParkingPreference:
+class _Value:
+    """Immutable value: equality (within one class), hash and repr over
+    `_fields`. Copying and unpickling call the constructor again, so every
+    copy passes the constructor's checks."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class ParkingPreference(_Value):
     """A vector of preferred spots, one entry per car, each in [1, n].
 
     Any vector in [n]^n is allowed; actually *being* a parking function is a
@@ -28,10 +59,10 @@ class ParkingPreference:
     the processes can run on failing inputs too.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", tuple(entries))
         n = len(self.entries)
         if n == 0:
             raise ValueError("preference must have at least one entry")
@@ -51,18 +82,17 @@ class ParkingPreference:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of [n] in one-line notation.
 
     `word[k]` is the value in position k+1; as a parking outcome, position s
     holds the label of the car that ended up in spot s.
     """
 
-    word: tuple[int, ...]
+    __slots__ = _fields = ("word",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+    def __init__(self, word: tuple[int, ...]):
+        object.__setattr__(self, "word", tuple(word))
         n = len(self.word)
         if n == 0:
             raise ValueError("permutation must be non-empty")
@@ -96,8 +126,7 @@ def inverse_position(perm: Permutation, value: int) -> int:
     return perm.word.index(value) + 1
 
 
-@dataclass(frozen=True)
-class FriendshipGraph:
+class FriendshipGraph(_Value):
     """Simple undirected graph on vertex set [n].
 
     An edge {u, v} declares that cars u and v may occupy adjacent spots.
@@ -105,19 +134,17 @@ class FriendshipGraph:
     O(1) via per-vertex neighbour sets.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    _neighbors: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("n", "edges", "_neighbors")
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "n", n)
         if type(self.n) is not int:
             raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canonical = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             for w in (u, v):
                 if type(w) is not int:
@@ -150,26 +177,27 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> FriendshipGraph:
     return FriendshipGraph(n, frozenset(tuple(e) for e in edges))
 
 
-@dataclass(frozen=True)
-class Success:
+class Success(_Value):
     """All cars parked: the outcome permutation plus per-car displacement."""
 
-    outcome: Permutation
-    displacement: tuple[int, ...]
+    __slots__ = _fields = ("outcome", "displacement")
 
-    def __post_init__(self):
-        object.__setattr__(self, "displacement", tuple(self.displacement))
+    def __init__(self, outcome: Permutation, displacement: tuple[int, ...]):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "displacement", tuple(displacement))
         if len(self.displacement) != self.outcome.n:
             raise ValueError("displacement length must match the outcome")
         if any(d < 0 for d in self.displacement):
             raise ValueError("displacements are non-negative")
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(_Value):
     """The first car that exited unable to park."""
 
-    car: int
+    __slots__ = _fields = ("car",)
+
+    def __init__(self, car: int):
+        object.__setattr__(self, "car", car)
 
 
 ParkOutcome = Success | Failure

@@ -10,13 +10,12 @@ in the decreasing case because there every pair of vertices is adjacent.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterator
 
-from .core import Permutation
+from .core import Permutation, _Value
 
 
 class Direction(Enum):
@@ -24,15 +23,15 @@ class Direction(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class CyclicOutcome:
+class CyclicOutcome(_Value):
     """A rotation outcome on the cycle graph: direction, starting value, size."""
 
-    direction: Direction
-    start: int
-    n: int
+    __slots__ = _fields = ("direction", "start", "n")
 
-    def __post_init__(self):
+    def __init__(self, direction: Direction, start: int, n: int):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "n", n)
         if self.n < 3:
             raise ValueError("cycle outcomes need n >= 3")
         if not 1 <= self.start <= self.n:

@@ -10,12 +10,11 @@ map to inversion numbers under this correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .classical import _all_friends, classical_park
-from .core import ParkingPreference, Permutation, Success, _require_ints
+from .core import ParkingPreference, Permutation, Success, _require_ints, _Value
 from .cycle import _factorials, increasing_word
 from .friendship import _sweep
 from .notation import format_word_compact
@@ -29,14 +28,13 @@ class NotCyclicPreference(ValueError):
         self.outcome = outcome
 
 
-@dataclass(frozen=True)
-class InversionSequence:
+class InversionSequence(_Value):
     """Non-negative integers with entries[i] < i (1-indexed)."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", tuple(entries))
         _require_ints(self.entries, "entry")
         for idx, a in enumerate(self.entries, start=1):
             if not 0 <= a < idx:
@@ -53,8 +51,7 @@ class InversionSequence:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Value):
     """A minimal block of a permutation occupying its own value interval.
 
     The subword at positions start..end is a permutation of the values
@@ -63,11 +60,12 @@ class Component:
     different host permutations are distinct components.
     """
 
-    underlying: Permutation
-    start: int
-    end: int
+    __slots__ = _fields = ("underlying", "start", "end")
 
-    def __post_init__(self):
+    def __init__(self, underlying: Permutation, start: int, end: int):
+        object.__setattr__(self, "underlying", underlying)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
         n = self.underlying.n
         if not 1 <= self.start <= self.end <= n:
             raise ValueError(f"positions {self.start}..{self.end} are outside [1, {n}]")

@@ -13,7 +13,6 @@ listing, here, in `cyclic` and in `verify`, is a filter over its stream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
@@ -23,18 +22,18 @@ from .core import (
     ParkOutcome,
     Permutation,
     Success,
+    _Value,
 )
 from .limits import ensure_sweep_within_cap
 
 
-@dataclass(frozen=True)
-class LotState:
+class LotState(_Value):
     """Occupancy snapshot of the car park: cell s-1 holds the car in spot s, or None."""
 
-    occupancy: tuple[int | None, ...]
+    __slots__ = _fields = ("occupancy",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "occupancy", tuple(self.occupancy))
+    def __init__(self, occupancy: tuple[int | None, ...]):
+        object.__setattr__(self, "occupancy", tuple(occupancy))
         cars = [c for c in self.occupancy if c is not None]
         if any(c < 1 for c in cars):
             raise ValueError("car labels are positive")

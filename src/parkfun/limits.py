@@ -69,9 +69,10 @@ def ensure_within_cap(size: int, force: bool = False) -> None:
         raise SearchCapExceeded(size, cap)
 
 
-def ensure_sweep_within_cap(n: int, force: bool = False) -> None:
-    """`ensure_within_cap(n ** n, force)`, without building n ** n when n
-    alone puts it past the cap: for n in the millions that takes seconds."""
+def ensure_sweep_within_cap(n: int, force: bool = False, sweeps: int = 1) -> None:
+    """`ensure_within_cap(sweeps * n ** n, force)`, without building n ** n
+    when n alone puts it past the cap: for n in the millions that takes
+    seconds."""
     if force:
         return
     cap = brute_cap()
@@ -80,6 +81,6 @@ def ensure_sweep_within_cap(n: int, force: bool = False) -> None:
         # n ** n >= 2 ** (n * floor(log2 n)) > 2 ** bound_bits > cap; the
         # refusal names that lower bound, printed as a power of ten.
         raise SearchCapExceeded(1 << bound_bits, cap)
-    size = n ** n
+    size = sweeps * n ** n
     if size > cap:
         raise SearchCapExceeded(size, cap)

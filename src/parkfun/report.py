@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    result: dict
-    elapsed_ms: float
+    def __init__(self, command: str, inputs: dict, result: dict, elapsed_ms: float):
+        self.command = command
+        self.inputs = inputs
+        self.result = result
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.to_dict() == other.to_dict()
+        return NotImplemented
 
     def to_dict(self) -> dict:
         return {
@@ -42,12 +47,44 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
+# The keywords `_conforms` reads, then the annotations it skips.
+_KNOWN = {"type", "required", "properties", "additionalProperties", "minimum",
+          "$schema", "title", "description"}
+
+
+def _conforms(data, schema: dict) -> bool:
+    """True only when `data` plainly satisfies `schema`: objects, strings and
+    finite numbers under the keywords in `_KNOWN`. False means "not vouched
+    for", not "invalid": jsonschema judges the rest, a bool as a number or a
+    keyword this does not read included."""
+    if not schema.keys() <= _KNOWN:
+        return False
+    kind = schema.get("type")
+    if kind == "string":
+        return type(data) is str
+    if kind == "number":
+        finite = type(data) is int or (type(data) is float and math.isfinite(data))
+        return finite and ("minimum" not in schema or data >= schema["minimum"])
+    if kind != "object" or type(data) is not dict:
+        return False
+    properties = schema.get("properties", {})
+    extra = schema.get("additionalProperties", True)
+    return (
+        all(name in data for name in schema.get("required", ()))
+        and (extra is True or (extra is False and data.keys() <= properties.keys()))
+        and all(_conforms(data[name], sub) for name, sub in properties.items() if name in data)
+    )
+
+
 def validate_report(data: dict) -> None:
     """Raise jsonschema.ValidationError when `data` is not a RunReport.
 
-    jsonschema is imported here, not at module level, so that only callers
-    that validate pay for loading it.
+    jsonschema is imported only for a report that `_conforms` does not
+    vouch for, so that a valid report does not pay for loading it.
     """
+    schema = report_schema()
+    if _conforms(data, schema):
+        return
     import jsonschema
 
-    jsonschema.validate(data, report_schema())
+    jsonschema.validate(data, schema)

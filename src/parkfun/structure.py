@@ -10,11 +10,10 @@ blocking runs, and turns them into fibre sets, sizes and totals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Sequence
 
-from .core import FriendshipGraph, ParkingPreference, Permutation, inverse_position, make_graph
+from .core import FriendshipGraph, ParkingPreference, Permutation, _Value, inverse_position, make_graph
 from .limits import ensure_within_cap
 
 
@@ -22,15 +21,14 @@ class NotHamiltonianPath(ValueError):
     """The permutation is not a Hamiltonian path of the graph."""
 
 
-@dataclass(frozen=True)
-class BlockingSequence:
+class BlockingSequence(_Value):
     """Maximal contiguous run of blockers ending at the target value."""
 
-    elements: tuple[int, ...]
-    target: int
+    __slots__ = _fields = ("elements", "target")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements: tuple[int, ...], target: int):
+        object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "target", target)
         if not self.elements or self.elements[-1] != self.target:
             raise ValueError("blocking sequence must end at its target")
 
@@ -39,19 +37,18 @@ class BlockingSequence:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class FibreCharacterisation:
+class FibreCharacterisation(_Value):
     """Per-car admissible spot intervals for one Hamiltonian outcome.
 
     `spot_sets[i-1]` is the inclusive (lo, hi) interval of spots car i may
     prefer; hi is always the spot where car i ends up.
     """
 
-    outcome: Permutation
-    spot_sets: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("outcome", "spot_sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spot_sets", tuple(tuple(s) for s in self.spot_sets))
+    def __init__(self, outcome: Permutation, spot_sets: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "spot_sets", tuple(tuple(s) for s in spot_sets))
         if len(self.spot_sets) != self.outcome.n:
             raise ValueError("need exactly one spot interval per car")
 

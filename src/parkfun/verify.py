@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -33,7 +32,7 @@ from .cycle import (
     expand_cyclic,
 )
 from .friendship import _sweep, brute_fibre_counts
-from .limits import SUITE_NAMES, ensure_sweep_within_cap, ensure_within_cap
+from .limits import SUITE_NAMES, ensure_sweep_within_cap
 from .structure import (
     blocking_sequence,
     enumerate_fibre,
@@ -49,11 +48,11 @@ DEFAULT_RANGES = {
 }
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def _check(name: str, bad: list[str], ok_detail: str) -> CheckResult:
@@ -90,7 +89,7 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
     fibre-box partition, against brute force on a graph corpus."""
     results = []
     for n in n_values:
-        ensure_within_cap(_corpus_size(n) * n ** n, force)
+        ensure_sweep_within_cap(n, force, sweeps=_corpus_size(n))
         graphs, corpus_note = _graph_corpus(n)
         classical_words = dict(_sweep(n, _all_friends(n), force=True))
         cn = graph_generator("cycle", n) if n >= 4 else None
@@ -269,7 +268,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
     """Inversion-sequence and component bijections against brute enumeration."""
     results = []
     for n in n_values:
-        ensure_within_cap(max(factorial(n), n ** n), force)
+        ensure_sweep_within_cap(n, force)  # n ** n >= n!, so this covers S_n too
 
         perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
         comps = {pi.word: cyc.components(pi) for pi in perms}

@@ -1,13 +1,19 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from parkfun import ParkingPreference, cli, core, cycle, cyclic, friendship, structure
 from parkfun.cli import main
 from parkfun.report import validate_report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -441,6 +447,25 @@ class TestVerify:
         assert code == 0
         assert report["result"]["passed"] is True
 
+    def test_hostile_n_refused_before_any_work(self):
+        # At n = 2,000,000, building n ** n alone would take many seconds.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PARKFUN_BRUTE_CAP", None)
+        errors = {}
+        for suite in ("cycle", "bijection", "props"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "parkfun", "verify", suite, "--n", "2000000"],
+                env=env, capture_output=True, text=True, timeout=20,
+            )
+            assert proc.returncode == 2 and proc.stdout == "", suite
+            errors[suite] = proc.stderr
+        assert errors["cycle"].startswith("error: search space of more than 10^")
+        assert errors["bijection"] == errors["props"] == errors["cycle"]
+
+
+# A report whose elapsed time is the JSON text `number`.
+NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
+
 
 class TestValidateReport:
     def test_pipe_round_trip(self, capsys, monkeypatch):
@@ -459,3 +484,20 @@ class TestValidateReport:
         monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
         code, out, _ = run(capsys, "validate-report")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 200_000, id="deep"),
+            *(
+                pytest.param(NUMBER_REPORT % number, id=number)
+                for number in ("NaN", "Infinity", "-Infinity", "1e999")
+            ),
+        ],
+    )
+    def test_rejects_hostile_json(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "validate-report")
+        assert code == 1
+        assert out.startswith("error: not JSON: ") and out.count("\n") == 1
+        assert err == ""

@@ -1,10 +1,23 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from parkfun import (
+    BlockingSequence,
+    Component,
+    CyclicOutcome,
+    Direction,
+    Failure,
+    FibreCharacterisation,
     FriendshipGraph,
+    InversionSequence,
+    LotState,
+    ParkingPreference,
     Permutation,
+    Success,
     all_labelled_graphs,
     graph_generator,
     identity_permutation,
@@ -183,3 +196,66 @@ class TestGraphFile:
     def test_non_integer(self):
         with pytest.raises(ValueError):
             parse_graph_text("n 3\na b\n")
+
+
+# Each value type: its fields by keyword, and its repr.
+VALUES = [
+    (ParkingPreference, {"entries": (3, 1, 1, 2)}, "ParkingPreference(entries=(3, 1, 1, 2))"),
+    (Permutation, {"word": (2, 1)}, "Permutation(word=(2, 1))"),
+    (
+        FriendshipGraph,
+        {"n": 3, "edges": frozenset({(2, 1)})},
+        "FriendshipGraph(n=3, edges=frozenset({(1, 2)}))",
+    ),
+    (
+        Success,
+        {"outcome": Permutation((2, 1)), "displacement": (0, 1)},
+        "Success(outcome=Permutation(word=(2, 1)), displacement=(0, 1))",
+    ),
+    (Failure, {"car": 2}, "Failure(car=2)"),
+    (LotState, {"occupancy": (None, 1)}, "LotState(occupancy=(None, 1))"),
+    (
+        CyclicOutcome,
+        {"direction": Direction.INCREASING, "start": 2, "n": 3},
+        "CyclicOutcome(direction=<Direction.INCREASING: 'increasing'>, start=2, n=3)",
+    ),
+    (InversionSequence, {"entries": (0, 1)}, "InversionSequence(entries=(0, 1))"),
+    (
+        Component,
+        {"underlying": Permutation((2, 1, 3)), "start": 1, "end": 2},
+        "Component(underlying=Permutation(word=(2, 1, 3)), start=1, end=2)",
+    ),
+    (BlockingSequence, {"elements": (1, 2), "target": 2}, "BlockingSequence(elements=(1, 2), target=2)"),
+    (
+        FibreCharacterisation,
+        {"outcome": Permutation((2, 1)), "spot_sets": ((1, 1), (1, 2))},
+        "FibreCharacterisation(outcome=Permutation(word=(2, 1)), spot_sets=((1, 1), (1, 2)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_type(cls, fields, text):
+    value = cls(*fields.values())
+    assert repr(value) == text
+    by_keyword = cls(**fields)
+    assert by_keyword == value and hash(by_keyword) == hash(value)
+    assert value != tuple(fields.values())
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, name, fields[name])
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
+def test_values_of_different_types_differ():
+    assert Permutation((1,)) != ParkingPreference((1,))
+    assert ParkingPreference((1,)) != InversionSequence((0,))
+
+
+def test_graph_copies_rebuild_the_neighbour_sets():
+    graph = graph_generator("cycle", 4)
+    for twin in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert twin == graph and twin.neighbors(1) == frozenset({2, 4})
