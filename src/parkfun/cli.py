@@ -29,24 +29,31 @@ class UsageError(ValueError):
     """Bad arguments or malformed input; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _as_usage_error(what: str) -> Iterator[None]:
+    """Report a ValueError or OSError raised in the block as a usage error
+    about `what`. UsageError is a ValueError, so nothing in the block may
+    raise one. As a decorator it wraps a function the same way."""
+    try:
+        yield
+    except (ValueError, OSError) as e:
+        raise UsageError(f"{what}: {e}") from None
+
+
 def _parse_preference(text: str) -> ParkingPreference:
     from .core import ParkingPreference
     from .notation import parse_word
 
-    try:
+    with _as_usage_error("bad preference"):
         return ParkingPreference(parse_word(text))
-    except ValueError as e:
-        raise UsageError(f"bad preference: {e}") from None
 
 
 def _parse_permutation(text: str) -> Permutation:
     from .core import Permutation
     from .notation import parse_word
 
-    try:
+    with _as_usage_error("bad permutation"):
         return Permutation(parse_word(text))
-    except ValueError as e:
-        raise UsageError(f"bad permutation: {e}") from None
 
 
 def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
@@ -64,40 +71,22 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     if spec.startswith("file:"):
         from .core import parse_graph_header, parse_graph_text
 
-        path = Path(spec[len("file:"):])
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise UsageError(f"cannot read graph file: {e}") from None
-        try:
+        with _as_usage_error("cannot read graph file"):
+            text = Path(spec[len("file:"):]).read_text()
+        with _as_usage_error("bad graph file"):
             n = parse_graph_header(text)
-        except ValueError as e:
-            raise UsageError(f"bad graph file: {e}") from None
-        return n, _reported_as(lambda: parse_graph_text(text), "bad graph file")
+        return n, _as_usage_error("bad graph file")(lambda: parse_graph_text(text))
     family, sep, size = spec.partition(":")
     if sep:
         from .core import graph_generator
 
-        try:
+        what = f"bad graph spec {spec!r}"
+        with _as_usage_error(what):
             n = int(size)
-        except ValueError as e:
-            raise UsageError(f"bad graph spec {spec!r}: {e}") from None
-        return n, _reported_as(lambda: graph_generator(family, n), f"bad graph spec {spec!r}")
+        return n, _as_usage_error(what)(lambda: graph_generator(family, n))
     raise UsageError(
         f"graph spec {spec!r} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"
     )
-
-
-def _reported_as(build: Callable[[], FriendshipGraph], what: str) -> Callable[[], FriendshipGraph]:
-    """`build`, with a malformed graph reported as a usage error about `what`."""
-
-    def checked() -> FriendshipGraph:
-        try:
-            return build()
-        except ValueError as e:
-            raise UsageError(f"{what}: {e}") from None
-
-    return checked
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -151,14 +140,15 @@ def cmd_park(args, say) -> tuple[dict, dict, int]:
     if isinstance(res, Failure):
         say(f"car {res.car} failed to park")
         return inputs, {"status": "failure", "car": res.car}, 1
+    total = total_displacement(res)
     say(f"outcome: {format_word(res.outcome.word)}")
     say(f"displacement: {format_word(res.displacement)}")
-    say(f"total displacement: {total_displacement(res)}")
+    say(f"total displacement: {total}")
     result = {
         "status": "success",
         "outcome": list(res.outcome.word),
         "displacement": list(res.displacement),
-        "total_displacement": total_displacement(res),
+        "total_displacement": total,
     }
     return inputs, result, 0
 
@@ -200,6 +190,25 @@ def cmd_fibre(args, say) -> tuple[dict, dict, int]:
     return inputs, result, 0
 
 
+def _formula(target: str, space: FriendshipGraph | int) -> int:
+    """The closed-form count of `target` parking functions on `space`: the
+    graph for "fpf", n for "cyclic". A cycle graph, however it was given,
+    takes the cycle closed form; any other graph the Hamiltonian-path total."""
+    if target == "cyclic":
+        from .cyclic import cyclic_total_count
+
+        return cyclic_total_count(space)
+    from .core import graph_generator
+
+    if space.n >= 3 and space == graph_generator("cycle", space.n):
+        from .cycle import cycle_total_count
+
+        return cycle_total_count(space.n)
+    from .structure import total_fpf_count
+
+    return total_fpf_count(space)
+
+
 def cmd_count(args, say) -> tuple[dict, dict, int]:
     mode = "brute" if args.brute else "both" if args.both else "formula"
     if args.list and mode == "formula":
@@ -226,58 +235,34 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
         "force": bool(args.force),
     }
     result: dict = {}
-    code = 0
     if mode != "formula":
         # Refuse (or reject a malformed cap) before anything is built or
         # reaches stdout.
         ensure_sweep_within_cap(n, args.force)
-    graph = build() if args.target == "fpf" else None
+    # What the counts range over: the graph for fpf, n for cyclic.
+    space = build() if args.target == "fpf" else n
 
-    if mode in ("formula", "both"):
-        if args.target == "fpf":
-            from .core import graph_generator
+    if mode != "brute":
+        result["formula"] = _formula(args.target, space)
+        say(f"formula: {result['formula']}")
 
-            if n >= 3 and graph == graph_generator("cycle", n):
-                from .cycle import cycle_total_count
-
-                formula = cycle_total_count(n)
-            else:
-                from .structure import total_fpf_count
-
-                formula = total_fpf_count(graph)
-        else:
-            from .cyclic import cyclic_total_count
-
-            formula = cyclic_total_count(n)
-        result["formula"] = formula
-        say(f"formula: {formula}")
-
-    if mode in ("brute", "both"):
-        space = n ** n
-        result["search_space"] = space
-        say(f"search space: {n}^{n} = {space} preferences")
+    if mode != "formula":
+        result["search_space"] = n ** n
+        say(f"search space: {n}^{n} = {result['search_space']} preferences")
         if args.target == "fpf":
             from .friendship import count_fpf_brute as count_all, enumerate_fpf as list_all
-
-            space_of = graph
         else:
             from .cyclic import count_cyclic_brute as count_all, enumerate_cyclic_pf as list_all
-
-            space_of = n
         if args.list:
-            brute = _list_preferences(list_all(space_of, force=True), args, say, result)
+            result["brute"] = _list_preferences(list_all(space, force=True), args, say, result)
         else:
-            brute = count_all(space_of, force=True)
-        result["brute"] = brute
-        say(f"brute: {brute}")
+            result["brute"] = count_all(space, force=True)
+        say(f"brute: {result['brute']}")
 
     if mode == "both":
-        match = result["formula"] == result["brute"]
-        result["match"] = match
-        say(f"match: {'yes' if match else 'NO'}")
-        if not match:
-            code = 1
-    return inputs, result, code
+        result["match"] = result["formula"] == result["brute"]
+        say(f"match: {'yes' if result['match'] else 'NO'}")
+    return inputs, result, 0 if result.get("match", True) else 1
 
 
 def cmd_bijection(args, say) -> tuple[dict, dict, int]:

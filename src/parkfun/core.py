@@ -18,6 +18,12 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
 
 
+def _require_label(what: str, v: int, n: int) -> None:
+    """Reject a label (value, vertex, spot, start) outside [1, n]."""
+    if not 1 <= v <= n:
+        raise ValueError(f"{what} {v} is outside [1, {n}]")
+
+
 class _Value:
     """Immutable value: equality (within one class), hash and repr over
     `_fields`. Copying and unpickling call the constructor again, so every
@@ -51,7 +57,24 @@ class _Value:
         return type(self), self._key()
 
 
-class ParkingPreference(_Value):
+class _Word(_Value):
+    """A value whose one field is a word of integers: `n`, `len()` and
+    iteration all read that word."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(getattr(self, self._fields[0]))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(getattr(self, self._fields[0]))
+
+
+class ParkingPreference(_Word):
     """A vector of preferred spots, one entry per car, each in [1, n].
 
     Any vector in [n]^n is allowed; actually *being* a parking function is a
@@ -71,18 +94,8 @@ class ParkingPreference(_Value):
             if not 1 <= e <= n:
                 raise ValueError(f"entry {e} at position {idx} is outside [1, {n}]")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-
-class Permutation(_Value):
+class Permutation(_Word):
     """A permutation of [n] in one-line notation.
 
     `word[k]` is the value in position k+1; as a parking outcome, position s
@@ -100,16 +113,6 @@ class Permutation(_Value):
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of [1, {n}]")
 
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.word)
-
 
 def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
@@ -121,8 +124,7 @@ def inverse_position(perm: Permutation, value: int) -> int:
     >>> inverse_position(Permutation((2, 3, 1, 4)), 1)
     3
     """
-    if not 1 <= value <= perm.n:
-        raise ValueError(f"value {value} is outside [1, {perm.n}]")
+    _require_label("value", value, perm.n)
     return perm.word.index(value) + 1
 
 
@@ -149,8 +151,7 @@ class FriendshipGraph(_Value):
             for w in (u, v):
                 if type(w) is not int:
                     raise ValueError(f"vertex {w!r} is not an integer")
-                if not 1 <= w <= self.n:
-                    raise ValueError(f"vertex {w} is outside [1, {self.n}]")
+                _require_label("vertex", w, self.n)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canonical.add((min(u, v), max(u, v)))
@@ -162,14 +163,12 @@ class FriendshipGraph(_Value):
         object.__setattr__(self, "_neighbors", tuple(frozenset(s) for s in nbr))
 
     def adjacent(self, u: int, v: int) -> bool:
-        for w in (u, v):
-            if not 1 <= w <= self.n:
-                raise ValueError(f"vertex {w} is outside [1, {self.n}]")
+        _require_label("vertex", u, self.n)
+        _require_label("vertex", v, self.n)
         return v in self._neighbors[u]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} is outside [1, {self.n}]")
+        _require_label("vertex", v, self.n)
         return self._neighbors[v]
 
 

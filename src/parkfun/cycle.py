@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterator
 
-from .core import Permutation, _Value
+from .core import Permutation, _require_label, _Value
 
 
 class Direction(Enum):
@@ -34,21 +34,18 @@ class CyclicOutcome(_Value):
         object.__setattr__(self, "n", n)
         if self.n < 3:
             raise ValueError("cycle outcomes need n >= 3")
-        if not 1 <= self.start <= self.n:
-            raise ValueError(f"start {self.start} is outside [1, {self.n}]")
+        _require_label("start", self.start, self.n)
 
 
 def increasing_word(start: int, n: int) -> tuple[int, ...]:
     """start, start+1, ..., n, 1, ..., start-1 (defined for any n >= 1)."""
-    if not 1 <= start <= n:
-        raise ValueError(f"start {start} is outside [1, {n}]")
+    _require_label("start", start, n)
     return tuple(range(start, n + 1)) + tuple(range(1, start))
 
 
 def decreasing_word(start: int, n: int) -> tuple[int, ...]:
     """start, start-1, ..., 1, n, n-1, ..., start+1."""
-    if not 1 <= start <= n:
-        raise ValueError(f"start {start} is outside [1, {n}]")
+    _require_label("start", start, n)
     return tuple(range(start, 0, -1)) + tuple(range(n, start, -1))
 
 

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .classical import _all_friends, classical_park
-from .core import ParkingPreference, Permutation, Success, _require_ints, _Value
+from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
 from .cycle import _factorials, increasing_word
 from .friendship import _sweep
 from .notation import format_word_compact
@@ -28,7 +28,7 @@ class NotCyclicPreference(ValueError):
         self.outcome = outcome
 
 
-class InversionSequence(_Value):
+class InversionSequence(_Word):
     """Non-negative integers with entries[i] < i (1-indexed)."""
 
     __slots__ = _fields = ("entries",)
@@ -39,16 +39,6 @@ class InversionSequence(_Value):
         for idx, a in enumerate(self.entries, start=1):
             if not 0 <= a < idx:
                 raise ValueError(f"entry {a} at position {idx} must lie in [0, {idx - 1}]")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
 
 
 class Component(_Value):
@@ -114,8 +104,7 @@ def components(perm: Permutation) -> list[Component]:
 
 def inversion_number(value: int, perm: Permutation) -> int:
     """How many smaller values appear after `value` in the word."""
-    if not 1 <= value <= perm.n:
-        raise ValueError(f"value {value} is outside [1, {perm.n}]")
+    _require_label("value", value, perm.n)
     pos = perm.word.index(value)
     return sum(1 for x in perm.word[pos + 1 :] if x < value)
 
@@ -172,8 +161,7 @@ def _cyclic_fibre_size(start: int, n: int, fact: Callable[[int], int]) -> int:
 def cyclic_fibre_size(start: int, n: int) -> int:
     """Number of preferences whose classical outcome is the increasing
     rotation from `start`: (n+1-start)! * (start-1)!."""
-    if not 1 <= start <= n:
-        raise ValueError(f"start {start} is outside [1, {n}]")
+    _require_label("start", start, n)
     return _cyclic_fibre_size(start, n, factorial)
 
 

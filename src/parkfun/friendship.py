@@ -22,6 +22,7 @@ from .core import (
     ParkOutcome,
     Permutation,
     Success,
+    _require_label,
     _Value,
 )
 from .limits import ensure_sweep_within_cap
@@ -53,14 +54,12 @@ class LotState(_Value):
         """Build a state from a {spot: car} mapping."""
         cells: list[int | None] = [None] * n
         for spot, car in cars_at.items():
-            if not 1 <= spot <= n:
-                raise ValueError(f"spot {spot} is outside [1, {n}]")
+            _require_label("spot", spot, n)
             cells[spot - 1] = car
         return cls(tuple(cells))
 
     def car_at(self, spot: int) -> int | None:
-        if not 1 <= spot <= self.n:
-            raise ValueError(f"spot {spot} is outside [1, {self.n}]")
+        _require_label("spot", spot, self.n)
         return self.occupancy[spot - 1]
 
     def place(self, spot: int, car: int) -> "LotState":
@@ -78,8 +77,7 @@ def is_available(state: LotState, graph: FriendshipGraph, car: int, spot: int) -
     a friend of `car`; spots 0 and n+1 count as always empty. This is the
     reference statement of the rule, which `_run` inlines for speed.
     """
-    if not 1 <= spot <= state.n:
-        raise ValueError(f"spot {spot} is outside [1, {state.n}]")
+    _require_label("spot", spot, state.n)
     friends = graph.neighbors(car)
     occ = (None,) + state.occupancy + (None,)
     return occ[spot] is None and all(

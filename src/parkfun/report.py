@@ -27,7 +27,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -77,7 +77,8 @@ def _conforms(data, schema: dict) -> bool:
 
 
 def validate_report(data: dict) -> None:
-    """Raise jsonschema.ValidationError when `data` is not a RunReport.
+    """Raise jsonschema.ValidationError when `data` is not a RunReport, or
+    when its elapsed_ms is NaN or infinite, which the schema cannot rule out.
 
     jsonschema is imported only for a report that `_conforms` does not
     vouch for, so that a valid report does not pay for loading it.
@@ -88,3 +89,8 @@ def validate_report(data: dict) -> None:
     import jsonschema
 
     jsonschema.validate(data, schema)
+    elapsed = data["elapsed_ms"]
+    # NaN is the one value unequal to itself, and -inf already fails `minimum`;
+    # comparing, unlike math.isfinite, cannot overflow on a huge int.
+    if elapsed != elapsed or elapsed == math.inf:
+        raise jsonschema.ValidationError(f"elapsed_ms {elapsed} is not finite")

@@ -13,7 +13,15 @@ import itertools
 from math import prod
 from typing import Iterator, Sequence
 
-from .core import FriendshipGraph, ParkingPreference, Permutation, _Value, inverse_position, make_graph
+from .core import (
+    FriendshipGraph,
+    ParkingPreference,
+    Permutation,
+    _require_label,
+    _Value,
+    inverse_position,
+    make_graph,
+)
 from .limits import ensure_within_cap
 
 
@@ -52,18 +60,14 @@ class FibreCharacterisation(_Value):
         if len(self.spot_sets) != self.outcome.n:
             raise ValueError("need exactly one spot interval per car")
 
-    def spots(self, car: int) -> range:
-        """The admissible spots of `car` as a range."""
-        lo, hi = self.spot_sets[car - 1]
-        return range(lo, hi + 1)
-
 
 def is_hamiltonian_path(perm: Permutation, graph: FriendshipGraph) -> bool:
     """Do consecutive word entries always form edges of the graph?"""
     if perm.n != graph.n:
         return False
-    word = perm.word
-    return all(graph.adjacent(word[k], word[k + 1]) for k in range(len(word) - 1))
+    # A Permutation holds only values in [1, n]: read the edges unchecked.
+    word, neighbors = perm.word, graph._neighbors
+    return all(word[k + 1] in neighbors[word[k]] for k in range(len(word) - 1))
 
 
 def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -147,9 +151,8 @@ def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> boo
     smaller than i that is not a friend of i: car i can then never use
     j's spot, because a hostile earlier car guards it.
     """
-    for v in (j, i):
-        if not 1 <= v <= perm.n:
-            raise ValueError(f"value {v} is outside [1, {perm.n}]")
+    _require_label("value", j, perm.n)
+    _require_label("value", i, perm.n)
     _require_same_size(perm, graph)
     return _blocks(perm.word, perm.word.index(j), i, graph._neighbors[i])
 

@@ -130,19 +130,14 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             if seen != words.keys():
                 partition_bad.append(f"union mismatch on {sorted(graph.edges)}")
 
-        def summary(bad: list[str]) -> tuple[bool, str]:
-            if bad:
-                return False, f"{len(bad)} discrepancies, first: {bad[0]}"
-            return True, f"{corpus_note}, {n ** n} preferences each"
-
         for check, bad in (
             (f"friendship-implies-classical n={n}", subset_bad),
             (f"nonempty-iff-hamiltonian n={n}", nonempty_bad),
             (f"classical-hamiltonian-outcome-transfers n={n}", transfer_bad),
             (f"fibre-box-partition n={n}", partition_bad),
         ):
-            ok, detail = summary(bad)
-            results.append(CheckResult(check, ok, detail))
+            first = [f"{len(bad)} discrepancies, first: {bad[0]}"] if bad else []
+            results.append(_check(check, first, f"{corpus_note}, {n ** n} preferences each"))
 
         if cn is not None:
             cn_paths = {pi.word for pi in hamiltonian_paths(cn)}
@@ -421,16 +416,20 @@ def n3_reference_rows() -> list[tuple]:
 
 def table1_suite() -> list[CheckResult]:
     rows = n3_reference_rows()
-    ok = tuple(rows) == N3_REFERENCE_TABLE
-    detail = f"{len(rows)} rows regenerated"
-    if not ok:
-        for got, want in zip(rows, N3_REFERENCE_TABLE):
-            if got != want:
-                detail = f"first mismatch: {got} != {want}"
-                break
-        else:
-            detail = f"row count {len(rows)} != {len(N3_REFERENCE_TABLE)}"
-    return [CheckResult("three-car-reference-table", ok, detail)]
+    table = N3_REFERENCE_TABLE
+    bad = [f"first mismatch: {got} != {want}" for got, want in zip(rows, table) if got != want]
+    if len(rows) != len(table):
+        bad.append(f"row count {len(rows)} != {len(table)}")
+    return [_check("three-car-reference-table", bad, f"{len(rows)} rows regenerated")]
+
+
+# Every suite but "all", in the order "all" runs them.
+_SUITES = {
+    "table1": lambda n_values, force: table1_suite(),
+    "props": props_suite,
+    "cycle": cycle_suite,
+    "bijection": bijection_suite,
+}
 
 
 def run_suite(
@@ -440,18 +439,9 @@ def run_suite(
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
 
-    def values(kind: str) -> Sequence[int]:
-        if n_values is not None:
-            return n_values
-        return DEFAULT_RANGES[kind]
-
     results: list[CheckResult] = []
-    if suite in ("table1", "all"):
-        results.extend(table1_suite())
-    if suite in ("props", "all"):
-        results.extend(props_suite(values("props"), force=force))
-    if suite in ("cycle", "all"):
-        results.extend(cycle_suite([n for n in values("cycle") if n >= 3], force=force))
-    if suite in ("bijection", "all"):
-        results.extend(bijection_suite(values("bijection"), force=force))
+    for name, run in _SUITES.items():
+        if suite in (name, "all"):
+            sizes = DEFAULT_RANGES.get(name) if n_values is None else n_values
+            results.extend(run(sizes, force=force))
     return results

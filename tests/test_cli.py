@@ -145,6 +145,14 @@ class TestFibre:
         assert code == 0
         assert "fibre size: 12" in out
 
+    def test_undecodable_graph_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"n 2\n\xc0\x80\n")
+        code, out, err = run(capsys, "fibre", "-g", f"file:{path}", "-o", "12", "--count")
+        # Under a UTF-8 locale: "cannot read graph file: 'utf-8' codec can't decode ..."
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 
 class TestHostileSize:

@@ -19,9 +19,15 @@ from parkfun import (
     Permutation,
     Success,
     all_labelled_graphs,
+    cyclic_fibre_size,
+    decreasing_word,
     graph_generator,
     identity_permutation,
+    increasing_word,
     inverse_position,
+    inversion_number,
+    is_available,
+    is_blocker,
     make_graph,
     make_preference,
     parse_graph_text,
@@ -259,3 +265,37 @@ def test_graph_copies_rebuild_the_neighbour_sets():
     graph = graph_generator("cycle", 4)
     for twin in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert twin == graph and twin.neighbors(1) == frozenset({2, 4})
+
+
+# Every public entry point that checks a label (a value, vertex, spot or
+# start) against [1, n], with the word its message uses for the label.
+N = 4
+PERM = Permutation((2, 3, 1, 4))
+C4 = graph_generator("cycle", N)
+LOT = LotState.empty(N)
+LABEL_CHECKS = {
+    "inverse_position": ("value", lambda v: inverse_position(PERM, v)),
+    "FriendshipGraph edge": ("vertex", lambda v: FriendshipGraph(N, frozenset({(1, v)}))),
+    "adjacent": ("vertex", lambda v: C4.adjacent(v, 1)),
+    "adjacent second": ("vertex", lambda v: C4.adjacent(1, v)),
+    "neighbors": ("vertex", lambda v: C4.neighbors(v)),
+    "CyclicOutcome": ("start", lambda v: CyclicOutcome(Direction.INCREASING, v, N)),
+    "increasing_word": ("start", lambda v: increasing_word(v, N)),
+    "decreasing_word": ("start", lambda v: decreasing_word(v, N)),
+    "inversion_number": ("value", lambda v: inversion_number(v, PERM)),
+    "cyclic_fibre_size": ("start", lambda v: cyclic_fibre_size(v, N)),
+    "LotState.with_cars": ("spot", lambda v: LotState.with_cars(N, {v: 1})),
+    "car_at": ("spot", lambda v: LOT.car_at(v)),
+    "is_available": ("spot", lambda v: is_available(LOT, C4, 1, v)),
+    "is_available car": ("vertex", lambda v: is_available(LOT, C4, v, 1)),
+    "is_blocker": ("value", lambda v: is_blocker(v, 1, PERM, C4)),
+    "is_blocker car": ("value", lambda v: is_blocker(1, v, PERM, C4)),
+}
+
+
+@pytest.mark.parametrize("v", [0, N + 1])
+@pytest.mark.parametrize("what, check", LABEL_CHECKS.values(), ids=list(LABEL_CHECKS))
+def test_label_outside_range_message(what, check, v):
+    with pytest.raises(ValueError) as info:
+        check(v)
+    assert str(info.value) == f"{what} {v} is outside [1, {N}]"

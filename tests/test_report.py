@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -33,6 +34,22 @@ def test_schema_accepts_valid():
 def test_schema_rejects_invalid(bad):
     with pytest.raises(jsonschema.ValidationError):
         validate_report(bad)
+
+
+@pytest.mark.parametrize("elapsed", [float("nan"), float("inf")])
+def test_non_finite_elapsed_is_refused(elapsed):
+    doc = {"command": "x", "inputs": {}, "result": {}, "elapsed_ms": elapsed}
+    assert jsonschema.Draft7Validator(report_schema()).is_valid(doc)  # draft-7 alone lets it through
+    with pytest.raises(jsonschema.ValidationError, match="elapsed_ms .* is not finite"):
+        validate_report(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        RunReport.from_dict(doc)
+
+
+@pytest.mark.parametrize("elapsed", [float("nan"), float("inf"), float("-inf")])
+def test_to_json_never_writes_non_finite_numbers(elapsed):
+    with pytest.raises(ValueError):
+        RunReport("x", {}, {}, elapsed).to_json()
 
 
 def test_schema_is_self_describing():
@@ -76,8 +93,12 @@ def near_reports(draw):
 
 @given(near_reports())
 @example({"command": "x", "inputs": {}, "result": {}, "elapsed_ms": True})
+@example({"command": "x", "inputs": {}, "result": {}, "elapsed_ms": float("nan")})
+@example({"command": "x", "inputs": {}, "result": {}, "elapsed_ms": float("inf")})
 def test_conforms_only_what_jsonschema_accepts(doc):
-    accepted = jsonschema.Draft7Validator(SCHEMA).is_valid(doc)
+    # The reference: draft-7 accepts the document and its elapsed_ms is
+    # finite, which draft-7 cannot express.
+    accepted = jsonschema.Draft7Validator(SCHEMA).is_valid(doc) and math.isfinite(doc["elapsed_ms"])
     if _conforms(doc, SCHEMA):
         assert accepted
     try:
