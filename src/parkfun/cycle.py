@@ -9,11 +9,9 @@ in the decreasing case because there every pair of vertices is adjacent.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
-from itertools import accumulate
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Permutation, _require_label, _Value
 
@@ -72,31 +70,39 @@ def _exact_div3(value: int) -> int:
     return value // 3
 
 
-def _factorials(m: int) -> list[int]:
-    """[0!, 1!, ..., m!], each entry one multiplication from the last."""
-    return list(accumulate(range(1, m + 1), operator.mul, initial=1))
+def _rotation_size(start: int, n: int) -> int:
+    """r(start) = (n+1-start)! * (start-1)!, the classical fibre of the increasing rotation."""
+    return factorial(n + 1 - start) * factorial(start - 1)
 
 
-def _cycle_fibre_size(c: CyclicOutcome, fact: Callable[[int], int]) -> int:
-    n, i = c.n, c.start
-    if c.direction is Direction.DECREASING:
-        if i == n:
-            return 1
-        if i == n - 1:
-            return n
-        # i <= n-2; on three vertices the largest value never blocks, which
-        # drops one factor from the product.
-        if n == 3:
-            return i + 1
-        return (i + 1) * (i + 2)
-    if i <= 3:
-        return fact(n + 1 - i) * fact(i - 1)
-    return _exact_div3(fact(n - i + 1) * fact(i))
+def _rotation_sizes(n: int) -> Iterator[int]:
+    """_rotation_size(i, n) for i = 1..n, each one exact ratio from the last,
+    so that no term multiplies two large factorials."""
+    size = factorial(n)
+    for i in range(1, n + 1):
+        yield size
+        size = size * i // (n + 1 - i)
+
+
+def _increasing_fibre_size(i: int, rotation_size: int) -> int:
+    # From start 4 on, the fibre is (n-i+1)! * i! / 3, that is i * r(i) / 3.
+    return rotation_size if i <= 3 else _exact_div3(i * rotation_size)
 
 
 def cycle_fibre_size(c: CyclicOutcome) -> int:
     """Closed-form fibre size of a rotation outcome on the cycle graph."""
-    return _cycle_fibre_size(c, factorial)
+    n, i = c.n, c.start
+    if c.direction is Direction.INCREASING:
+        return _increasing_fibre_size(i, _rotation_size(i, n))
+    if i == n:
+        return 1
+    if i == n - 1:
+        return n
+    # i <= n-2; on three vertices the largest value never blocks, which
+    # drops one factor from the product.
+    if n == 3:
+        return i + 1
+    return (i + 1) * (i + 2)
 
 
 def cycle_total_count(n: int) -> int:
@@ -108,5 +114,6 @@ def cycle_total_count(n: int) -> int:
     """
     if n < 3:
         raise ValueError("the cycle graph needs n >= 3")
-    fact = _factorials(n + 1).__getitem__
-    return sum(_cycle_fibre_size(c, fact) for c in cyclic_outcomes(n))
+    increasing = sum(map(_increasing_fibre_size, range(1, n + 1), _rotation_sizes(n)))
+    decreasing = (CyclicOutcome(Direction.DECREASING, i, n) for i in range(1, n + 1))
+    return increasing + sum(map(cycle_fibre_size, decreasing))

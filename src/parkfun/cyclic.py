@@ -10,12 +10,11 @@ map to inversion numbers under this correspondence.
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .classical import _all_friends, classical_park
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
-from .cycle import _factorials, increasing_word
+from .cycle import _rotation_size, _rotation_sizes, increasing_word
 from .friendship import _sweep
 from .notation import format_word_compact
 
@@ -154,15 +153,11 @@ def is_cyclic_pf(p: ParkingPreference) -> int | None:
     return _rotation_start(res.outcome.word) if isinstance(res, Success) else None
 
 
-def _cyclic_fibre_size(start: int, n: int, fact: Callable[[int], int]) -> int:
-    return fact(n + 1 - start) * fact(start - 1)
-
-
 def cyclic_fibre_size(start: int, n: int) -> int:
     """Number of preferences whose classical outcome is the increasing
     rotation from `start`: (n+1-start)! * (start-1)!."""
     _require_label("start", start, n)
-    return _cyclic_fibre_size(start, n, factorial)
+    return _rotation_size(start, n)
 
 
 def cyclic_total_count(n: int) -> int:
@@ -174,8 +169,7 @@ def cyclic_total_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    fact = _factorials(n).__getitem__
-    return sum(_cyclic_fibre_size(start, n, fact) for start in range(1, n + 1))
+    return sum(_rotation_sizes(n))
 
 
 def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:

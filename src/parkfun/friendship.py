@@ -36,8 +36,8 @@ class LotState(_Value):
     def __init__(self, occupancy: tuple[int | None, ...]):
         object.__setattr__(self, "occupancy", tuple(occupancy))
         cars = [c for c in self.occupancy if c is not None]
-        if any(c < 1 for c in cars):
-            raise ValueError("car labels are positive")
+        for car in cars:
+            _require_label("car", car, self.n)
         if len(cars) != len(set(cars)):
             raise ValueError("a car may occupy at most one spot")
 
@@ -77,6 +77,8 @@ def is_available(state: LotState, graph: FriendshipGraph, car: int, spot: int) -
     a friend of `car`; spots 0 and n+1 count as always empty. This is the
     reference statement of the rule, which `_run` inlines for speed.
     """
+    if state.n != graph.n:
+        raise ValueError(f"the lot has {state.n} spots but the graph has {graph.n} vertices")
     _require_label("spot", spot, state.n)
     friends = graph.neighbors(car)
     occ = (None,) + state.occupancy + (None,)

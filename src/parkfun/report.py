@@ -88,7 +88,10 @@ def validate_report(data: dict) -> None:
         return
     import jsonschema
 
-    jsonschema.validate(data, schema)
+    try:
+        jsonschema.validate(data, schema)
+    except ArithmeticError:  # decimal.InvalidOperation: `minimum` cannot order a Decimal NaN
+        raise jsonschema.ValidationError(f"elapsed_ms {data['elapsed_ms']} is not finite") from None
     elapsed = data["elapsed_ms"]
     # NaN is the one value unequal to itself, and -inf already fails `minimum`;
     # comparing, unlike math.isfinite, cannot overflow on a huge int.

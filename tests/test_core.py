@@ -284,7 +284,9 @@ LABEL_CHECKS = {
     "decreasing_word": ("start", lambda v: decreasing_word(v, N)),
     "inversion_number": ("value", lambda v: inversion_number(v, PERM)),
     "cyclic_fibre_size": ("start", lambda v: cyclic_fibre_size(v, N)),
+    "LotState": ("car", lambda v: LotState((v, None, None, None))),
     "LotState.with_cars": ("spot", lambda v: LotState.with_cars(N, {v: 1})),
+    "LotState.with_cars car": ("car", lambda v: LotState.with_cars(N, {1: v})),
     "car_at": ("spot", lambda v: LOT.car_at(v)),
     "is_available": ("spot", lambda v: is_available(LOT, C4, 1, v)),
     "is_available car": ("vertex", lambda v: is_available(LOT, C4, v, 1)),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from parkfun import (
@@ -7,6 +9,7 @@ from parkfun import (
     cycle_fibre_size,
     cycle_total_count,
     cyclic_outcomes,
+    cyclic_total_count,
     decreasing_word,
     enumerate_fibre,
     expand_cyclic,
@@ -91,11 +94,23 @@ class TestCycleTotalCount:
         assert cycle_total_count(n) == sum(counts.values())
 
     def test_equals_sum_of_fibre_sizes(self):
-        # cycle_fibre_size calls math.factorial; the total reads a running table.
+        # cycle_fibre_size calls math.factorial; the total steps one ratio at a time.
         for n in [*range(3, 61), 500, 2000]:
             assert cycle_total_count(n) == sum(
                 cycle_fibre_size(c) for c in cyclic_outcomes(n)
             )
+
+    @pytest.mark.parametrize("total", [cycle_total_count, cyclic_total_count])
+    def test_keeps_few_big_ints_alive(self, total):
+        # A table of every k! up to 5000 peaks near 17 MB; one ratio stream
+        # holds a few ints of about 8 KB each.
+        tracemalloc.start()
+        try:
+            total(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_pinned_values(self):
         # n=10 agrees with the landing-spot count recorded in ROADMAP.md.

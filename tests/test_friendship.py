@@ -78,6 +78,10 @@ class TestIsAvailable:
         with pytest.raises(ValueError):
             is_available(LotState.empty(4), c4, car=1, spot=5)
 
+    def test_lot_size_must_match_the_graph(self, c4):
+        with pytest.raises(ValueError, match="the lot has 5 spots but the graph has 4 vertices"):
+            is_available(LotState.empty(5), c4, car=1, spot=1)
+
 
 class TestFriendshipPark:
     def test_worked_example(self, c4):

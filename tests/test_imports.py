@@ -14,7 +14,7 @@ import parkfun
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LAZY = ("jsonschema", "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
+LAZY = ("jsonschema", "decimal", "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
 
 SCRIPT = f"""
 import contextlib, io, sys
