@@ -89,7 +89,7 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     )
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     try:
         if ".." in text:
             lo_s, _, hi_s = text.partition("..")
@@ -100,7 +100,7 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"bad range {text!r}; use a single n or lo..hi") from None
     if lo < 1 or hi < lo:
         raise UsageError(f"bad range {text!r}; need 1 <= lo <= hi")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dict) -> int:
@@ -266,7 +266,7 @@ def cmd_count(args, say) -> tuple[dict, dict, int]:
 
 
 def cmd_bijection(args, say) -> tuple[dict, dict, int]:
-    from .cyclic import NotCyclicPreference, _psi, components, inv_seq, psi_inverse
+    from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
     from .notation import format_blocks, format_word, format_word_compact
 
     if args.direction == "psi":
@@ -306,8 +306,7 @@ def cmd_bijection(args, say) -> tuple[dict, dict, int]:
         starts = ", ".join(str(b.start) for b in comps)
         say(f"error: no component starts at position {args.start}; components start at {starts}")
         return inputs, {"error": f"no component starts at position {args.start}"}, 1
-    p = psi_inverse(chosen)
-    seq = inv_seq(host)
+    p, seq = _psi_inverse(chosen)
     say(f"host permutation: {format_blocks(host.word, blocks, mark_start=chosen.start)}")
     say(f"inversion sequence: {format_word(seq.entries)}")
     say(f"start value: {chosen.start}")

@@ -65,9 +65,10 @@ def cyclic_outcomes(n: int) -> Iterator[CyclicOutcome]:
 
 def _exact_div3(value: int) -> int:
     # i! for i >= 4 is always divisible by 3; guard against transcription slips.
-    if value % 3:
+    quotient, remainder = divmod(value, 3)
+    if remainder:
         raise ArithmeticError(f"{value} is not divisible by 3")
-    return value // 3
+    return quotient
 
 
 def _rotation_size(start: int, n: int) -> int:
@@ -89,11 +90,7 @@ def _increasing_fibre_size(i: int, rotation_size: int) -> int:
     return rotation_size if i <= 3 else _exact_div3(i * rotation_size)
 
 
-def cycle_fibre_size(c: CyclicOutcome) -> int:
-    """Closed-form fibre size of a rotation outcome on the cycle graph."""
-    n, i = c.n, c.start
-    if c.direction is Direction.INCREASING:
-        return _increasing_fibre_size(i, _rotation_size(i, n))
+def _decreasing_fibre_size(i: int, n: int) -> int:
     if i == n:
         return 1
     if i == n - 1:
@@ -105,6 +102,13 @@ def cycle_fibre_size(c: CyclicOutcome) -> int:
     return (i + 1) * (i + 2)
 
 
+def cycle_fibre_size(c: CyclicOutcome) -> int:
+    """Closed-form fibre size of a rotation outcome on the cycle graph."""
+    if c.direction is Direction.DECREASING:
+        return _decreasing_fibre_size(c.start, c.n)
+    return _increasing_fibre_size(c.start, _rotation_size(c.start, c.n))
+
+
 def cycle_total_count(n: int) -> int:
     """Total number of friendship parking functions on the n-vertex cycle:
     the closed-form fibre sizes summed over all 2n rotation outcomes.
@@ -114,6 +118,5 @@ def cycle_total_count(n: int) -> int:
     """
     if n < 3:
         raise ValueError("the cycle graph needs n >= 3")
-    increasing = sum(map(_increasing_fibre_size, range(1, n + 1), _rotation_sizes(n)))
-    decreasing = (CyclicOutcome(Direction.DECREASING, i, n) for i in range(1, n + 1))
-    return increasing + sum(map(cycle_fibre_size, decreasing))
+    sizes = enumerate(_rotation_sizes(n), start=1)
+    return sum(_increasing_fibre_size(i, r) + _decreasing_fibre_size(i, n) for i, r in sizes)

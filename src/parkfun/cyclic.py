@@ -202,6 +202,19 @@ def psi(p: ParkingPreference) -> Component:
     return _psi(p)[1]
 
 
+def _psi_inverse(c: Component) -> tuple[ParkingPreference, InversionSequence]:
+    """psi_inverse(c) and the host's inversion sequence, from one inv_seq pass."""
+    host = c.underlying
+    n = host.n
+    i = c.start
+    seq = inv_seq(host)
+    entries = []
+    for j, count in enumerate(seq.entries, start=1):
+        spot = n + j + 1 - i if j < i else j + 1 - i
+        entries.append(spot - count)
+    return ParkingPreference(tuple(entries)), seq
+
+
 def psi_inverse(c: Component) -> ParkingPreference:
     """The unique cyclic preference mapping to component `c`.
 
@@ -209,15 +222,7 @@ def psi_inverse(c: Component) -> ParkingPreference:
     rotation from i = min value of the component; its preference is that
     spot minus its inversion number in the host permutation.
     """
-    host = c.underlying
-    n = host.n
-    i = c.start
-    counts = inv_seq(host).entries
-    entries = []
-    for j in range(1, n + 1):
-        spot = n + j + 1 - i if j < i else j + 1 - i
-        entries.append(spot - counts[j - 1])
-    return ParkingPreference(tuple(entries))
+    return _psi_inverse(c)[0]
 
 
 def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:

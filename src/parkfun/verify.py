@@ -100,8 +100,6 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         for graph in graphs:
             # Preference entries -> friendship outcome word, by full simulation.
             words = dict(_sweep(n, graph._neighbors, force=True))
-            if graph == cn:  # every corpus holds C_n, so its witness reuses this map
-                cn_words = words
 
             for entries in words:
                 if not is_parking_function(ParkingPreference(entries)):
@@ -113,6 +111,8 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
                 nonempty_bad.append(f"{sorted(graph.edges)}")
 
             path_words = {pi.word for pi in paths}
+            if graph == cn:  # every corpus holds C_n, so its witness reuses these
+                cn_words, cn_paths = words, path_words
             for entries, word in classical_words.items():
                 if word in path_words and words.get(entries) != word:
                     transfer_bad.append(f"{entries} on {sorted(graph.edges)}")
@@ -140,7 +140,6 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             results.append(_check(check, first, f"{corpus_note}, {n ** n} preferences each"))
 
         if cn is not None:
-            cn_paths = {pi.word for pi in hamiltonian_paths(cn)}
             witness = next(
                 (e for e in cn_words if classical_words.get(e) not in cn_paths), None
             )
@@ -195,7 +194,8 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         cn = graph_generator("cycle", n)
 
         paths = list(hamiltonian_paths(cn))
-        expansions = {expand_cyclic(c).word for c in cyclic_outcomes(n)}
+        rotations = [(c, expand_cyclic(c)) for c in cyclic_outcomes(n)]
+        expansions = {pi.word for _, pi in rotations}
         ok = len(paths) == 2 * n and {p.word for p in paths} == expansions
         results.append(
             CheckResult(
@@ -218,21 +218,19 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         )
 
         bad = []
-        for c in cyclic_outcomes(n):
-            word = expand_cyclic(c).word
+        for c, pi in rotations:
             closed = cycle_fibre_size(c)
-            general = fibre_size(Permutation(word), cn)
-            counted = brute.get(word, 0)
+            general = fibre_size(pi, cn)
+            counted = brute.get(pi.word, 0)
             if not closed == general == counted:
-                bad.append(f"{word}: closed {closed}, product {general}, brute {counted}")
+                bad.append(f"{pi.word}: closed {closed}, product {general}, brute {counted}")
         results.append(
             _check(f"cycle-fibre-closed-forms n={n}", bad, f"all {2 * n} rotation fibres agree")
         )
 
         if n >= 4:
             bad = []
-            for c in cyclic_outcomes(n):
-                pi = expand_cyclic(c)
+            for c, pi in rotations:
                 for j, want in _expected_blocking_words(c).items():
                     got = blocking_sequence(j, pi, cn).elements
                     if got != want:

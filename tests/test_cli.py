@@ -378,6 +378,23 @@ class TestBijection:
         assert "host permutation: 21/47536/(10)89" in out
         assert len(calls) == 1
 
+    def test_psi_inverse_reads_the_inversions_once(self, capsys, monkeypatch):
+        calls = []
+        real = cyclic.inv_seq
+
+        def counting(perm):
+            calls.append(perm)
+            return real(perm)
+
+        monkeypatch.setattr(cyclic, "inv_seq", counting)
+        code, out, _ = run(
+            capsys, "bijection", "psi-inverse", "--perm", "341278659", "--start", "5"
+        )
+        assert code == 0
+        assert "inversion sequence: 0,0,2,2,0,1,2,2,0" in out
+        assert "preference: 6,7,6,7,1,1,1,2,5" in out
+        assert len(calls) == 1
+
     def test_psi_worked_example(self, capsys):
         code, out, _ = run(capsys, "bijection", "psi", "-p", "4,4,6,6,7,9,7,1,2,1")
         assert code == 0
@@ -448,6 +465,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: PARKFUN_BRUTE_CAP must be")
+        assert err.count("\n") == 1
+
+    def test_huge_range_refused_at_its_first_n_past_the_cap(self, capsys, monkeypatch):
+        # The range is never built as a list: n = 3 already exceeds the cap.
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "10")
+        code, out, err = run(capsys, "verify", "cycle", "--n", "1..99999999999999")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: search space of 27 preferences exceeds the cap of 10; ")
         assert err.count("\n") == 1
 
     def test_json(self, capsys):

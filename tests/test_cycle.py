@@ -18,6 +18,7 @@ from parkfun import (
     hamiltonian_paths,
     increasing_word,
 )
+from parkfun.cycle import _exact_div3
 from parkfun.verify import _expected_blocking_words
 from parkfun.structure import blocking_sequence
 
@@ -73,6 +74,15 @@ class TestCycleFibreSize:
         assert cycle_fibre_size(c) == 8
         c4 = graph_generator("cycle", 4)
         assert sum(1 for _ in enumerate_fibre(Permutation((4, 1, 2, 3)), c4)) == 8
+
+    def test_exact_div3_guard(self):
+        big = 3 * 7 ** 500
+        assert _exact_div3(big) == 7 ** 500
+        assert _exact_div3(24) == 8
+        assert _exact_div3(0) == 0
+        for value in (1, 2, 25, big + 1, big - 1):
+            with pytest.raises(ArithmeticError, match=f"^{value} is not divisible by 3$"):
+                _exact_div3(value)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_closed_form_equals_product_equals_brute(self, n, cycle_brute):
