@@ -2,7 +2,9 @@
 every subcommand and the usage errors, in text and --json mode.
 
 The --json reports are pinned with elapsed_ms masked, since it is the one
-field that changes from run to run.
+field that changes from run to run. argparse's own help and errors, which
+end in SystemExit before --json is read, are pinned in text mode only, at a
+terminal width of 80 columns.
 """
 
 import io
@@ -449,3 +451,233 @@ def test_cli_output_is_pinned(case, json_mode, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     out = ELAPSED.sub('"elapsed_ms": 0', captured.out)
     assert (code, out, captured.err) == (case.code, case.json if json_mode else case.out, case.err)
+
+
+class Usage(NamedTuple):
+    command: str
+    code: int
+    out: str = ""
+    err: str = ""
+
+
+USAGE = [
+    Usage(
+        "--help",
+        code=0,
+        out=(
+            "usage: parkfun [-h] {park,fibre,count,bijection,verify,validate-report} "
+            "...\n"
+            "\n"
+            "Classical, friendship and cyclic parking functions.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {park,fibre,count,bijection,verify,validate-report}\n"
+            "    park                run a parking process on one preference\n"
+            "    fibre               characterise the preferences behind one outcome\n"
+            "    count               count friendship or cyclic parking functions\n"
+            "    bijection           map cyclic preferences to permutation components\n"
+            "    verify              run the cross-verification suites\n"
+            "    validate-report     validate a RunReport JSON object from stdin\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+    ),
+    Usage(
+        "park --help",
+        code=0,
+        out=(
+            "usage: parkfun park [-h] [--json] -p PREFERENCE [-g GRAPH]\n"
+            "                    {classical,friendship}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {classical,friendship}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --json                emit a RunReport object\n"
+            "  -p PREFERENCE, --preference PREFERENCE\n"
+            "                        e.g. 3,1,1,2\n"
+            "  -g GRAPH, --graph GRAPH\n"
+            "                        cycle:<n>, complete:<n>, path:<n>, fig4, "
+            "file:<path>\n"
+        ),
+    ),
+    Usage(
+        "fibre --help",
+        code=0,
+        out=(
+            "usage: parkfun fibre [-h] [--json] -g GRAPH -o OUTCOME\n"
+            "                     [--count | --sets | --list] [--force]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --json                emit a RunReport object\n"
+            "  -g GRAPH, --graph GRAPH\n"
+            "  -o OUTCOME, --outcome OUTCOME\n"
+            "                        outcome permutation\n"
+            "  --count               print the fibre size\n"
+            "  --sets                print the per-car spot sets (default)\n"
+            "  --list                list the whole fibre\n"
+            "  --force               ignore the search-space cap (--list)\n"
+        ),
+    ),
+    Usage(
+        "count --help",
+        code=0,
+        out=(
+            "usage: parkfun count [-h] [--json] [-g GRAPH] [-n N]\n"
+            "                     [--formula | --brute | --both] [--list]\n"
+            "                     [--workers WORKERS] [--force]\n"
+            "                     {fpf,cyclic}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {fpf,cyclic}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --json                emit a RunReport object\n"
+            "  -g GRAPH, --graph GRAPH\n"
+            "  -n N                  number of cars (cyclic target)\n"
+            "  --formula             closed form only (default)\n"
+            "  --brute               exhaustive simulation only\n"
+            "  --both                closed form and brute force; exit 1 on mismatch\n"
+            "  --list                list preferences found by the sweep\n"
+            "  --workers WORKERS     accepted and ignored: the sweep is serial\n"
+            "  --force               ignore the search-space cap\n"
+        ),
+    ),
+    Usage(
+        "bijection --help",
+        code=0,
+        out=(
+            "usage: parkfun bijection [-h] [--json] [-p PREFERENCE] [--perm PERM]\n"
+            "                         [--start START]\n"
+            "                         {psi,psi-inverse}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {psi,psi-inverse}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --json                emit a RunReport object\n"
+            "  -p PREFERENCE, --preference PREFERENCE\n"
+            "  --perm PERM           host permutation (psi-inverse)\n"
+            "  --start START         start position of the component (psi-inverse)\n"
+        ),
+    ),
+    Usage(
+        "verify --help",
+        code=0,
+        out=(
+            "usage: parkfun verify [-h] [--json] [--n N] [--force]\n"
+            "                      {props,table1,cycle,bijection,all}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {props,table1,cycle,bijection,all}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --json                emit a RunReport object\n"
+            "  --n N                 range of sizes, e.g. 3..6 or 5\n"
+            "  --force               ignore the search-space cap\n"
+        ),
+    ),
+    Usage(
+        "validate-report --help",
+        code=0,
+        out=(
+            "usage: parkfun validate-report [-h] [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --json      emit a RunReport object\n"
+        ),
+    ),
+    Usage(
+        "",
+        code=2,
+        err=(
+            "usage: parkfun [-h] {park,fibre,count,bijection,verify,validate-report} "
+            "...\n"
+            "parkfun: error: the following arguments are required: command\n"
+        ),
+    ),
+    Usage(
+        "park classical",
+        code=2,
+        err=(
+            "usage: parkfun park [-h] [--json] -p PREFERENCE [-g GRAPH]\n"
+            "                    {classical,friendship}\n"
+            "parkfun park: error: the following arguments are required: -p/--preference\n"
+        ),
+    ),
+    Usage(
+        "nosuch",
+        code=2,
+        err=(
+            "usage: parkfun [-h] {park,fibre,count,bijection,verify,validate-report} "
+            "...\n"
+            "parkfun: error: argument command: invalid choice: 'nosuch' (choose from "
+            "'park', 'fibre', 'count', 'bijection', 'verify', 'validate-report')\n"
+        ),
+    ),
+    Usage(
+        "park sideways",
+        code=2,
+        err=(
+            "usage: parkfun park [-h] [--json] -p PREFERENCE [-g GRAPH]\n"
+            "                    {classical,friendship}\n"
+            "parkfun park: error: argument mode: invalid choice: 'sideways' (choose "
+            "from 'classical', 'friendship')\n"
+        ),
+    ),
+    Usage(
+        "verify nosuch",
+        code=2,
+        err=(
+            "usage: parkfun verify [-h] [--json] [--n N] [--force]\n"
+            "                      {props,table1,cycle,bijection,all}\n"
+            "parkfun verify: error: argument suite: invalid choice: 'nosuch' (choose "
+            "from 'props', 'table1', 'cycle', 'bijection', 'all')\n"
+        ),
+    ),
+    Usage(
+        "fibre -g fig4 -o 87152463 --count --list",
+        code=2,
+        err=(
+            "usage: parkfun fibre [-h] [--json] -g GRAPH -o OUTCOME\n"
+            "                     [--count | --sets | --list] [--force]\n"
+            "parkfun fibre: error: argument --list: not allowed with argument --count\n"
+        ),
+    ),
+    Usage(
+        "count cyclic -n x",
+        code=2,
+        err=(
+            "usage: parkfun count [-h] [--json] [-g GRAPH] [-n N]\n"
+            "                     [--formula | --brute | --both] [--list]\n"
+            "                     [--workers WORKERS] [--force]\n"
+            "                     {fpf,cyclic}\n"
+            "parkfun count: error: argument -n: invalid int value: 'x'\n"
+        ),
+    ),
+    Usage(
+        "--json park classical -p 1",
+        code=2,
+        err=(
+            "usage: parkfun [-h] {park,fibre,count,bijection,verify,validate-report} "
+            "...\n"
+            "parkfun: error: unrecognized arguments: --json\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda c: c.command or "(no arguments)")
+def test_argparse_output_is_pinned(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(case.command.split())
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == (case.code, case.out, case.err)
