@@ -1,0 +1,49 @@
+"""`parkfun validate-report`: check a RunReport JSON object read from stdin
+against the schema."""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """No arguments beyond --json: the report comes on stdin."""
+
+
+def _finite(text: str) -> float:
+    """A JSON number, or a NaN or Infinity that strict JSON lacks, as a
+    float, refused unless finite (1e999 reads as infinity)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _validation_error() -> type[Exception]:
+    """jsonschema's ValidationError. An except clause evaluates its type only
+    once something is raised, so a report that conforms never loads jsonschema."""
+    from jsonschema import ValidationError
+
+    return ValidationError
+
+
+def run(args, say) -> tuple[dict, dict, int]:
+    import json
+
+    from .report import validate_report
+
+    inputs = {"source": "stdin"}
+    try:
+        data = json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
+        say(f"error: not JSON: {e}")
+        return inputs, {"valid": False, "error": str(e)}, 1
+    try:
+        validate_report(data)
+    except _validation_error() as e:
+        say(f"error: {e.message}")
+        return inputs, {"valid": False, "error": e.message}, 1
+    say("ok")
+    return inputs, {"valid": True}, 0

@@ -1,0 +1,40 @@
+"""`parkfun verify`: run one cross-verification suite, or all of them, over a
+range of sizes."""
+
+from __future__ import annotations
+
+import argparse
+
+from .cli import UsageError, _parse_n_range
+from .limits import SUITE_NAMES
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("suite", choices=list(SUITE_NAMES))
+    parser.add_argument("--n", help="range of sizes, e.g. 3..6 or 5")
+    parser.add_argument("--force", action="store_true", help="ignore the search-space cap")
+
+
+def run(args, say) -> tuple[dict, dict, int]:
+    from .verify import DEFAULT_RANGES, run_suite
+
+    n_values = _parse_n_range(args.n) if args.n else None
+    inputs = {"suite": args.suite, "n": args.n, "force": bool(args.force)}
+    checks = run_suite(args.suite, n_values, force=args.force)
+    if not checks:
+        # Each suite's default range starts at its smallest n; only a range
+        # wholly below it selects nothing.
+        raise UsageError(
+            f"suite {args.suite!r} has no checks for n = {args.n}; "
+            f"its smallest n is {DEFAULT_RANGES[args.suite].start}"
+        )
+    for c in checks:
+        say(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
+    passed = all(c.passed for c in checks)
+    say(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
+    result = {
+        "suite": args.suite,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "passed": passed,
+    }
+    return inputs, result, 0 if passed else 1

@@ -6,16 +6,17 @@ biject onto permutation components: send a cyclic preference to the
 component, in the permutation realising its displacement vector as an
 inversion sequence, that contains the car parked in spot 1. Displacements
 map to inversion numbers under this correspondence.
+
+Only the functions that simulate import `classical` and `friendship`, so the
+closed forms and psi_inverse load neither.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .classical import _all_friends, classical_park
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
 from .cycle import _rotation_size, _rotation_sizes, increasing_word
-from .friendship import _sweep
 from .notation import format_word_compact
 
 
@@ -149,6 +150,8 @@ def _rotation_start(word: tuple[int, ...]) -> int | None:
 def is_cyclic_pf(p: ParkingPreference) -> int | None:
     """Starting value i when the classical outcome is the increasing rotation
     from i; None when the process fails or parks in any other pattern."""
+    from .classical import classical_park
+
     res = classical_park(p)
     return _rotation_start(res.outcome.word) if isinstance(res, Success) else None
 
@@ -175,6 +178,8 @@ def cyclic_total_count(n: int) -> int:
 def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
     """The classical outcome of `p`, its image under psi and every component
     of the host permutation, from one simulation and one decomposition."""
+    from .classical import classical_park
+
     res = classical_park(p)
     if not isinstance(res, Success):
         raise NotCyclicPreference(f"car {res.car} cannot park; not a parking function")
@@ -227,6 +232,9 @@ def psi_inverse(c: Component) -> ParkingPreference:
 
 def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:
     """Entries of every cyclic preference of length n, lexicographically."""
+    from .classical import _all_friends
+    from .friendship import _sweep
+
     for entries, word in _sweep(n, _all_friends(n), force):
         if _rotation_start(word) is not None:
             yield entries

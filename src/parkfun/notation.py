@@ -24,7 +24,8 @@ def parse_word(text: str) -> tuple[int, ...]:
             except ValueError:
                 raise ValueError(f"{part!r} is not an integer") from None
         return tuple(values)
-    if not s.isdigit():
+    # str.isdigit() alone admits digits such as "²" and "１" that int() refuses.
+    if not (s.isascii() and s.isdigit()):
         raise ValueError(f"{text!r} is not a comma-separated or compact word")
     if "0" in s:
         raise ValueError(

@@ -93,6 +93,31 @@ REPORT = (
 )
 
 
+# Every subcommand module; a call loads its own and none of the others.
+COMMANDS = {
+    f"parkfun._cmd_{name}"
+    for name in ("park", "fibre", "count", "bijection", "verify", "validate_report")
+}
+
+SIMULATION = frozenset({"parkfun.classical", "parkfun.friendship"})
+
+
+def _loaded_by(argv: list[str], stdin: str = "") -> tuple[str, set[str]]:
+    """The exit code of one CLI call and the modules it loaded, once its own
+    subcommand module is seen among them and no other."""
+    code, *loaded = _python(CLI_PROBE, *argv, stdin=stdin).split()
+    own = f"parkfun._cmd_{argv[0].replace('-', '_')}"
+    assert own in loaded
+    assert not (COMMANDS - {own}) & set(loaded), (COMMANDS - {own}) & set(loaded)
+    return code, set(loaded)
+
+
+def _call(command: str, unloaded: frozenset[str] = frozenset()):
+    return pytest.param(command.split(), "", unloaded, id=command)
+
+
+# The first two cases, then one for each other kind of call that the
+# cli_calls workload of perfbench makes.
 @pytest.mark.parametrize(
     "argv, stdin, unloaded",
     [
@@ -103,13 +128,31 @@ REPORT = (
              "parkfun.report", "dataclasses", "inspect", "jsonschema"},
         ),
         (["validate-report"], REPORT,
-         {"parkfun.verify", "parkfun.structure", "dataclasses", "jsonschema"}),
+         {"parkfun.core", "parkfun.verify", "parkfun.structure", "dataclasses", "jsonschema"}),
+        _call("park friendship -g cycle:4 -p 2,2,4,1"),
+        _call("park friendship -g file:{dir}/graph.txt -p 1,1,2"),
+        _call("fibre -g fig4 -o 87152463 --count"),
+        _call("fibre -g cycle:5 -o 34512 --sets"),
+        _call("count cyclic -n 5 --formula", SIMULATION),
+        _call("count cyclic -n 5 --formula --json", SIMULATION),
+        _call("count fpf -g cycle:5 --both"),
+        _call("bijection psi -p 1,1,2"),
+        _call("bijection psi-inverse --perm 341278659 --start 5", SIMULATION),
+        _call("verify table1"),
     ],
 )
-def test_subcommand_loads_only_its_modules(argv, stdin, unloaded):
-    code, *loaded = _python(CLI_PROBE, *argv, stdin=stdin).split()
+def test_subcommand_loads_only_its_modules(argv, stdin, unloaded, tmp_path):
+    (tmp_path / "graph.txt").write_text("n 3\n1 2\n2 3\n")
+    code, loaded = _loaded_by([arg.format(dir=tmp_path) for arg in argv], stdin)
     assert code == "0"
-    assert not unloaded & set(loaded), unloaded & set(loaded)
+    assert not unloaded & loaded, unloaded & loaded
+
+
+def test_refused_sweep_loads_only_count(monkeypatch):
+    monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+    code, loaded = _loaded_by(["count", "fpf", "-g", "complete:9", "--brute"])
+    assert code == "2"
+    assert "parkfun.friendship" not in loaded
 
 
 # Today's exports, by defining module.

@@ -22,6 +22,11 @@ class TestParseWord:
         with pytest.raises(ValueError):
             parse_word("10")  # ambiguous without commas
 
+    @pytest.mark.parametrize("text", ["²1", "１１"])
+    def test_compact_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="is not a comma-separated or compact word"):
+            parse_word(text)
+
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_word("a,b")
