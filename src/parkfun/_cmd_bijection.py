@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import UsageError, _parse_permutation, _parse_preference
+from .cli import UsageError, _parse_word
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -16,13 +16,14 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
+    from .core import ParkingPreference, Permutation
     from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
     from .notation import format_blocks, format_word, format_word_compact
 
     if args.direction == "psi":
         if args.preference is None:
             raise UsageError("bijection psi needs a preference (-p)")
-        p = _parse_preference(args.preference)
+        p = _parse_word(ParkingPreference, "preference", args.preference)
         inputs = {"direction": "psi", "preference": list(p.entries)}
         try:
             res, c, comps = _psi(p)
@@ -47,7 +48,7 @@ def run(args, say) -> tuple[dict, dict, int]:
 
     if args.perm is None or args.start is None:
         raise UsageError("bijection psi-inverse needs --perm and --start")
-    host = _parse_permutation(args.perm)
+    host = _parse_word(Permutation, "permutation", args.perm)
     inputs = {"direction": "psi-inverse", "perm": list(host.word), "start": args.start}
     comps = components(host)
     blocks = [(b.start, b.end) for b in comps]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import UsageError, _graph_spec, _list_preferences, _parse_permutation
+from .cli import UsageError, _graph_spec, _list_preferences, _parse_word
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -19,11 +19,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
+    from .core import Permutation
     from .notation import format_interval
     from .structure import NotHamiltonianPath, enumerate_fibre, fibre_characterisation, fibre_size
 
     n, build = _graph_spec(args.graph)
-    perm = _parse_permutation(args.outcome)
+    perm = _parse_word(Permutation, "permutation", args.outcome)
     mode = "count" if args.count else "list" if args.list else "sets"
     inputs = {
         "graph": args.graph,

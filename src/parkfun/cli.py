@@ -22,12 +22,14 @@ import importlib
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from .limits import BadCapSetting, SearchCapExceeded
 
 if TYPE_CHECKING:
-    from .core import FriendshipGraph, ParkingPreference, Permutation
+    from .core import FriendshipGraph, ParkingPreference
+
+_T = TypeVar("_T")
 
 
 class UsageError(ValueError):
@@ -45,20 +47,13 @@ def _as_usage_error(what: str) -> Iterator[None]:
         raise UsageError(f"{what}: {e}") from None
 
 
-def _parse_preference(text: str) -> ParkingPreference:
-    from .core import ParkingPreference
+def _parse_word(kind: Callable[[tuple[int, ...]], _T], what: str, text: str) -> _T:
+    """`kind` built from the word `text`, such as ParkingPreference or
+    Permutation; a word it refuses is a usage error, `bad <what>: ...`."""
     from .notation import parse_word
 
-    with _as_usage_error("bad preference"):
-        return ParkingPreference(parse_word(text))
-
-
-def _parse_permutation(text: str) -> Permutation:
-    from .core import Permutation
-    from .notation import parse_word
-
-    with _as_usage_error("bad permutation"):
-        return Permutation(parse_word(text))
+    with _as_usage_error(f"bad {what}"):
+        return kind(parse_word(text))
 
 
 def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:

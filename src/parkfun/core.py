@@ -58,8 +58,8 @@ class _Value:
 
 
 class _Word(_Value):
-    """A value whose one field is a word of integers: `n`, `len()` and
-    iteration all read that word."""
+    """A value whose one field is a word, a tuple of letters (integers, or
+    None for an empty cell): `n`, `len()` and iteration all read that word."""
 
     __slots__ = ()
 

@@ -191,10 +191,9 @@ def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
             outcome=word,
         )
     comps = components(perm_from_inv_seq(res.displacement))
-    for c in comps:
-        if c.start <= i <= c.end:
-            return res, c, comps
-    raise AssertionError("components always cover every value")
+    # The components partition 1..n, so exactly one of them holds i.
+    c = next(c for c in comps if c.start <= i <= c.end)
+    return res, c, comps
 
 
 def psi(p: ParkingPreference) -> Component:

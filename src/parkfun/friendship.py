@@ -23,12 +23,12 @@ from .core import (
     Permutation,
     Success,
     _require_label,
-    _Value,
+    _Word,
 )
 from .limits import ensure_sweep_within_cap
 
 
-class LotState(_Value):
+class LotState(_Word):
     """Occupancy snapshot of the car park: cell s-1 holds the car in spot s, or None."""
 
     __slots__ = _fields = ("occupancy",)
@@ -40,10 +40,6 @@ class LotState(_Value):
             _require_label("car", car, self.n)
         if len(cars) != len(set(cars)):
             raise ValueError("a car may occupy at most one spot")
-
-    @property
-    def n(self) -> int:
-        return len(self.occupancy)
 
     @classmethod
     def empty(cls, n: int) -> "LotState":

@@ -81,6 +81,4 @@ def ensure_sweep_within_cap(n: int, force: bool = False, sweeps: int = 1) -> Non
         # n ** n >= 2 ** (n * floor(log2 n)) > 2 ** bound_bits > cap; the
         # refusal names that lower bound, printed as a power of ten.
         raise SearchCapExceeded(1 << bound_bits, cap)
-    size = sweeps * n ** n
-    if size > cap:
-        raise SearchCapExceeded(size, cap)
+    ensure_within_cap(sweeps * n ** n)

@@ -20,6 +20,9 @@ def parse_word(text: str) -> tuple[int, ...]:
         for part in s.split(","):
             part = part.strip()
             try:
+                # int() alone reads any Unicode digit, such as "１" or "٣".
+                if not part.isascii():
+                    raise ValueError
                 values.append(int(part))
             except ValueError:
                 raise ValueError(f"{part!r} is not an integer") from None

@@ -106,8 +106,7 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
                     subset_bad.append(f"{entries} on {sorted(graph.edges)}")
 
             paths = list(hamiltonian_paths(graph))
-            brute_nonempty = bool(words)
-            if brute_nonempty != bool(paths) or brute_nonempty != (total_fpf_count(graph) > 0):
+            if bool(words) != bool(paths) or len(words) != total_fpf_count(graph):
                 nonempty_bad.append(f"{sorted(graph.edges)}")
 
             path_words = {pi.word for pi in paths}

@@ -79,6 +79,11 @@ GOLDEN = [
         err="error: bad preference: entry 0 at position 1 is outside [1, 2]\n",
     ),
     Case(
+        "park classical -p 1,１",
+        code=2,
+        err="error: bad preference: '１' is not an integer\n",
+    ),
+    Case(
         "park friendship -g cycle:x -p 1,2",
         code=2,
         err=(
@@ -198,6 +203,11 @@ GOLDEN = [
         err="error: -n must be positive\n",
     ),
     Case(
+        "count cyclic",
+        code=2,
+        err="error: count cyclic needs -n\n",
+    ),
+    Case(
         "count fpf -g cycle:5",
         code=0,
         out="formula: 256\n",
@@ -308,6 +318,16 @@ GOLDEN = [
         err="error: bad permutation: (3, 1, 2, 5) is not a permutation of [1, 4]\n",
     ),
     Case(
+        "bijection psi",
+        code=2,
+        err="error: bijection psi needs a preference (-p)\n",
+    ),
+    Case(
+        "bijection psi-inverse --perm 21",
+        code=2,
+        err="error: bijection psi-inverse needs --perm and --start\n",
+    ),
+    Case(
         "verify table1",
         code=0,
         out=(
@@ -325,6 +345,11 @@ GOLDEN = [
         "verify cycle --n 2",
         code=2,
         err="error: suite 'cycle' has no checks for n = 2; its smallest n is 3\n",
+    ),
+    Case(
+        "verify cycle --n x",
+        code=2,
+        err="error: bad range 'x'; use a single n or lo..hi\n",
     ),
     Case(
         "verify all --n 1..2",

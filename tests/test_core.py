@@ -20,6 +20,8 @@ from parkfun import (
     Success,
     all_labelled_graphs,
     cyclic_fibre_size,
+    cyclic_outcomes,
+    cyclic_total_count,
     decreasing_word,
     graph_generator,
     identity_permutation,
@@ -301,3 +303,59 @@ def test_label_outside_range_message(what, check, v):
     with pytest.raises(ValueError) as info:
         check(v)
     assert str(info.value) == f"{what} {v} is outside [1, {N}]"
+
+
+# Each word type: its word, which `n`, `len()` and iteration all read.
+WORDS = [
+    ParkingPreference((3, 1, 1, 2)),
+    Permutation((2, 1, 3)),
+    InversionSequence((0, 1, 0)),
+    LotState((None, 2, None, 1)),
+]
+
+
+@pytest.mark.parametrize("value", WORDS, ids=[type(v).__name__ for v in WORDS])
+def test_word_protocol(value):
+    word = getattr(value, type(value)._fields[0])
+    assert value.n == len(value) == len(word)
+    assert tuple(value) == word
+
+
+# Library refusals outside the label range, with their exact messages.
+REFUSALS = {
+    "empty permutation": (lambda: Permutation(()), "permutation must be non-empty"),
+    "graph of no vertices": (
+        lambda: FriendshipGraph(0, frozenset()),
+        "graph needs at least one vertex",
+    ),
+    "short displacement": (
+        lambda: Success(Permutation((1, 2)), (0,)),
+        "displacement length must match the outcome",
+    ),
+    "negative displacement": (
+        lambda: Success(Permutation((1, 2)), (0, -1)),
+        "displacements are non-negative",
+    ),
+    "complete:0": (
+        lambda: graph_generator("complete", 0),
+        "complete graphs need at least 1 vertex",
+    ),
+    "path:0": (lambda: graph_generator("path", 0), "path graphs need at least 1 vertex"),
+    "bad header": (
+        lambda: parse_graph_header("n x"),
+        "line 1: vertex count 'x' is not an integer",
+    ),
+    "cyclic_outcomes(2)": (lambda: list(cyclic_outcomes(2)), "cycle outcomes need n >= 3"),
+    "component at 0": (
+        lambda: Component(Permutation((1, 2)), 0, 1),
+        "positions 0..1 are outside [1, 2]",
+    ),
+    "cyclic_total_count(0)": (lambda: cyclic_total_count(0), "need n >= 1"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_library_refusal_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

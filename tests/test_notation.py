@@ -27,6 +27,14 @@ class TestParseWord:
         with pytest.raises(ValueError, match="is not a comma-separated or compact word"):
             parse_word(text)
 
+    @pytest.mark.parametrize("text, part", [("1,１", "１"), ("1,٣", "٣")])
+    def test_comma_separated_takes_ascii_digits_only(self, text, part):
+        with pytest.raises(ValueError, match=f"^'{part}' is not an integer$"):
+            parse_word(text)
+
+    def test_comma_separated_ascii_parts_read_as_int_does(self):
+        assert parse_word("1_0,1") == (10, 1)
+
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_word("a,b")

@@ -30,6 +30,21 @@ def test_props_suite_small():
     assert_all_pass(props_suite(range(1, 4)))
 
 
+def test_props_suite_n4_finds_a_friendship_outcome_beyond_the_paths():
+    checks = props_suite([4])
+    assert_all_pass(checks)
+    assert "friendship-beyond-hamiltonian-outcomes C_4" in {c.name for c in checks}
+
+
+def test_props_holds_the_path_total_to_the_brute_count(monkeypatch):
+    """A total one too large on every nonempty graph still reads as nonempty;
+    only a comparison of the counts catches it."""
+    real = verify.total_fpf_count
+    monkeypatch.setattr(verify, "total_fpf_count", lambda g: real(g) + (real(g) > 0))
+    failed = [c.name for c in props_suite([3]) if not c.passed]
+    assert failed == ["nonempty-iff-hamiltonian n=3"]
+
+
 def props_with_boxes(monkeypatch, tamper):
     """props_suite at n=3 with every fibre box passed through `tamper`."""
     real = verify.enumerate_fibre
