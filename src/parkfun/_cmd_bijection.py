@@ -6,13 +6,14 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError, _parse_word
+from .core import _parse_int
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("direction", choices=["psi", "psi-inverse"])
     parser.add_argument("-p", "--preference")
     parser.add_argument("--perm", help="host permutation (psi-inverse)")
-    parser.add_argument("--start", type=int, help="start position of the component (psi-inverse)")
+    parser.add_argument("--start", type=_parse_int, help="start position of the component (psi-inverse)")
 
 
 def run(args, say) -> tuple[dict, dict, int]:

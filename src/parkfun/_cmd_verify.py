@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import UsageError, _parse_n_range
-from .limits import SUITE_NAMES
+from .cli import UsageError
+from .core import _parse_int
+from .verify import _SUITES, SUITE_NAMES, run_suite
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -15,9 +16,21 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--force", action="store_true", help="ignore the search-space cap")
 
 
-def run(args, say) -> tuple[dict, dict, int]:
-    from .verify import DEFAULT_RANGES, run_suite
+def _parse_n_range(text: str) -> range:
+    try:
+        if ".." in text:
+            lo_s, _, hi_s = text.partition("..")
+            lo, hi = _parse_int(lo_s), _parse_int(hi_s)
+        else:
+            lo = hi = _parse_int(text)
+    except ValueError:
+        raise UsageError(f"bad range {text!r}; use a single n or lo..hi") from None
+    if lo < 1 or hi < lo:
+        raise UsageError(f"bad range {text!r}; need 1 <= lo <= hi")
+    return range(lo, hi + 1)
 
+
+def run(args, say) -> tuple[dict, dict, int]:
     n_values = _parse_n_range(args.n) if args.n else None
     inputs = {"suite": args.suite, "n": args.n, "force": bool(args.force)}
     checks = run_suite(args.suite, n_values, force=args.force)
@@ -26,7 +39,7 @@ def run(args, say) -> tuple[dict, dict, int]:
         # wholly below it selects nothing.
         raise UsageError(
             f"suite {args.suite!r} has no checks for n = {args.n}; "
-            f"its smallest n is {DEFAULT_RANGES[args.suite].start}"
+            f"its smallest n is {_SUITES[args.suite][1].start}"
         )
     for c in checks:
         say(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")

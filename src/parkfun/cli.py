@@ -78,29 +78,15 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
         return n, _as_usage_error("bad graph file")(lambda: parse_graph_text(text))
     family, sep, size = spec.partition(":")
     if sep:
-        from .core import graph_generator
+        from .core import _parse_int, graph_generator
 
         what = f"bad graph spec {spec!r}"
         with _as_usage_error(what):
-            n = int(size)
+            n = _parse_int(size)
         return n, _as_usage_error(what)(lambda: graph_generator(family, n))
     raise UsageError(
         f"graph spec {spec!r} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"
     )
-
-
-def _parse_n_range(text: str) -> range:
-    try:
-        if ".." in text:
-            lo_s, _, hi_s = text.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise UsageError(f"bad range {text!r}; use a single n or lo..hi") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad range {text!r}; need 1 <= lo <= hi")
-    return range(lo, hi + 1)
 
 
 def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dict) -> int:
@@ -187,4 +173,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # `python -m parkfun.cli` runs this file as `__main__`, a second copy of
+    # the module; the subcommands raise the package module's UsageError, so
+    # only the package module's `main` catches it.
+    sys.exit(importlib.import_module("parkfun.cli").main())

@@ -18,6 +18,17 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
 
 
+def _parse_int(text: str) -> int:
+    """`int(text)` for ASCII text; int() alone reads any Unicode digit, such
+    as "１" or "٣". Named `int`, as argparse names a `type=` in its errors."""
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+_parse_int.__name__ = "int"
+
+
 def _require_label(what: str, v: int, n: int) -> None:
     """Reject a label (value, vertex, spot, start) outside [1, n]."""
     if not 1 <= v <= n:
@@ -245,7 +256,7 @@ def parse_graph_header(text: str) -> int:
         if len(parts) != 2 or parts[0] != "n":
             raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
         try:
-            return int(parts[1])
+            return _parse_int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
     raise ValueError("graph file has no 'n <count>' header")
@@ -266,7 +277,7 @@ def parse_graph_text(text: str) -> FriendshipGraph:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers, got {line!r}") from None
         edges.append((u, v))

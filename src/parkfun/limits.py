@@ -7,10 +7,6 @@ CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 # All of [8]^8; keeps un-forced sweeps under a minute on ordinary hardware.
 DEFAULT_CAP = 8 ** 8
 
-# The `verify` suites. Kept here, not in `verify`, so that the CLI can offer
-# them as choices without importing the suites themselves.
-SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
-
 # n ** n is built exactly only up to about this many bits (n up to about
 # 9,000, a millisecond); past it n alone settles a refusal.
 _EXACT_BITS = 1 << 17
@@ -51,8 +47,10 @@ def brute_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
+    from .core import _parse_int
+
     try:
-        cap = int(raw)
+        cap = _parse_int(raw)
     except ValueError:
         raise BadCapSetting(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap <= 0:

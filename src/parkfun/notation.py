@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .core import _parse_int
+
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse "3,1,1,2" or compact "3112" into a tuple of positive integers."""
@@ -20,10 +22,7 @@ def parse_word(text: str) -> tuple[int, ...]:
         for part in s.split(","):
             part = part.strip()
             try:
-                # int() alone reads any Unicode digit, such as "１" or "٣".
-                if not part.isascii():
-                    raise ValueError
-                values.append(int(part))
+                values.append(_parse_int(part))
             except ValueError:
                 raise ValueError(f"{part!r} is not an integer") from None
         return tuple(values)

@@ -32,7 +32,7 @@ from .cycle import (
     expand_cyclic,
 )
 from .friendship import _sweep, brute_fibre_counts
-from .limits import SUITE_NAMES, ensure_sweep_within_cap
+from .limits import ensure_sweep_within_cap
 from .structure import (
     blocking_sequence,
     enumerate_fibre,
@@ -40,13 +40,6 @@ from .structure import (
     hamiltonian_paths,
     total_fpf_count,
 )
-
-DEFAULT_RANGES = {
-    "props": range(1, 5),
-    "cycle": range(3, 7),
-    "bijection": range(1, 6),
-}
-
 
 class CheckResult:
     def __init__(self, name: str, passed: bool, detail: str):
@@ -269,9 +262,12 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         for pi in perms:
             if cyc.perm_from_inv_seq(cyc.inv_seq(pi)) != pi:
                 bad.append(f"{pi.word}")
+        comp_counts: dict[tuple[int, ...], int] = {}
         for entries in itertools.product(*(range(i) for i in range(1, n + 1))):
-            if cyc.inv_seq(cyc.perm_from_inv_seq(entries)).entries != entries:
+            perm = cyc.perm_from_inv_seq(entries)
+            if cyc.inv_seq(perm).entries != entries:
                 bad.append(f"{entries}")
+            comp_counts[entries] = len(comps[perm.word])
         results.append(
             _check(
                 f"inversion-sequence-bijection n={n}",
@@ -356,8 +352,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         )
 
         bad = []
-        for entries in itertools.product(*(range(i) for i in range(1, n + 1))):
-            want = len(comps[cyc.perm_from_inv_seq(entries).word])
+        for entries, want in comp_counts.items():
             got = by_displacement.get(entries, 0)
             if want != got:
                 bad.append(f"displacement {entries}: {got} preferences vs {want} components")
@@ -420,13 +415,15 @@ def table1_suite() -> list[CheckResult]:
     return [_check("three-car-reference-table", bad, f"{len(rows)} rows regenerated")]
 
 
-# Every suite but "all", in the order "all" runs them.
+# Every suite but "all", in the order "all" runs them: runner, default sizes.
 _SUITES = {
-    "table1": lambda n_values, force: table1_suite(),
-    "props": props_suite,
-    "cycle": cycle_suite,
-    "bijection": bijection_suite,
+    "table1": (lambda n_values, force: table1_suite(), None),
+    "props": (props_suite, range(1, 5)),
+    "cycle": (cycle_suite, range(3, 7)),
+    "bijection": (bijection_suite, range(1, 6)),
 }
+# The suite names, in the order the CLI offers them.
+SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
 
 
 def run_suite(
@@ -437,8 +434,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
 
     results: list[CheckResult] = []
-    for name, run in _SUITES.items():
+    for name, (run, default) in _SUITES.items():
         if suite in (name, "all"):
-            sizes = DEFAULT_RANGES.get(name) if n_values is None else n_values
+            sizes = default if n_values is None else n_values
             results.extend(run(sizes, force=force))
     return results

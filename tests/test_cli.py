@@ -250,6 +250,12 @@ class TestCount:
         code, out, _ = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
         assert code == 0
 
+    def test_cap_setting_takes_ascii_digits_only(self, capsys, monkeypatch):
+        # int() alone would read "１０" as a cap of 10.
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "１０")
+        code, out, err = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute")
+        assert (code, out, err) == (2, "", "error: PARKFUN_BRUTE_CAP must be an integer, got '１０'\n")
+
     def test_force_overrides_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", "100")
         code, out, _ = run(capsys, "count", "fpf", "-g", "cycle:4", "--brute", "--force")
@@ -476,6 +482,69 @@ class TestVerify:
         assert err.startswith("error: search space of 27 preferences exceeds the cap of 10; ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "suite, checks",
+        [
+            (
+                "props",
+                [
+                    f"{check} n={n}"
+                    for n in range(1, 5)
+                    for check in (
+                        "friendship-implies-classical",
+                        "nonempty-iff-hamiltonian",
+                        "classical-hamiltonian-outcome-transfers",
+                        "fibre-box-partition",
+                    )
+                ]
+                + ["friendship-beyond-hamiltonian-outcomes C_4"],
+            ),
+            (
+                "cycle",
+                [
+                    "cycle-hamiltonian-paths n=3",
+                    "cycle-count-closed-form n=3",
+                    "cycle-fibre-closed-forms n=3",
+                    "three-cycle-replacement",
+                ]
+                + [
+                    f"{check} n={n}"
+                    for n in range(4, 7)
+                    for check in (
+                        "cycle-hamiltonian-paths",
+                        "cycle-count-closed-form",
+                        "cycle-fibre-closed-forms",
+                        "cycle-blocking-run-shapes",
+                    )
+                ],
+            ),
+            (
+                "bijection",
+                [
+                    f"{check} n={n}"
+                    for n in range(1, 6)
+                    for check in (
+                        "inversion-sequence-bijection",
+                        "component-decomposition",
+                        "cyclic-count",
+                        "component-bijection-round-trip",
+                        "cyclic-fibre-sizes",
+                        "displacement-fibres",
+                    )
+                ],
+            ),
+        ],
+    )
+    def test_default_sizes(self, capsys, monkeypatch, suite, checks):
+        """Without --n each suite runs its own sizes: props n=1..4, cycle
+        n=3..6, bijection n=1..5."""
+        monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+        code, report = run_json(capsys, "verify", suite)
+        assert code == 0
+        assert report["inputs"]["n"] is None
+        assert [c["name"] for c in report["result"]["checks"]] == checks
+        assert report["result"]["passed"] is True
+
     def test_json(self, capsys):
         code, report = run_json(capsys, "verify", "table1")
         assert code == 0
@@ -495,6 +564,16 @@ class TestVerify:
             errors[suite] = proc.stderr
         assert errors["cycle"].startswith("error: search space of more than 10^")
         assert errors["bijection"] == errors["props"] == errors["cycle"]
+
+
+def test_cli_module_run_as_a_script_exits_2_on_a_usage_error():
+    """`python -m parkfun.cli` reports a usage error like `parkfun` does,
+    not as a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkfun.cli", "count", "cyclic"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: count cyclic needs -n\n")
 
 
 # A report whose elapsed time is the JSON text `number`.

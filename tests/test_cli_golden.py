@@ -18,7 +18,12 @@ from parkfun.cli import main
 
 # Graph files for the malformed-file cases; "{dir}" in a command names
 # the directory that holds them.
-GRAPH_FILES = {"bad-edge.txt": "n 3\n1 2\n2 x\n", "bad-header.txt": "size 3\n"}
+GRAPH_FILES = {
+    "bad-edge.txt": "n 3\n1 2\n2 x\n",
+    "bad-header.txt": "size 3\n",
+    "wide-edge.txt": "n 3\n1 2\n2 ３\n",
+    "wide-header.txt": "n ３\n",
+}
 
 ELAPSED = re.compile(r'"elapsed_ms": [^,}]+')
 
@@ -121,6 +126,36 @@ GOLDEN = [
         "park friendship -g file:{dir}/bad-header.txt -p 1,2,3",
         code=2,
         err="error: bad graph file: line 1: expected header 'n <count>', got 'size 3'\n",
+    ),
+    # Every number from outside takes ASCII digits only; int() alone would
+    # read "３" as 3.
+    Case(
+        "count fpf -g cycle:４",
+        code=2,
+        err=(
+            "error: bad graph spec 'cycle:４': invalid literal for int() with base 10: "
+            "'４'\n"
+        ),
+    ),
+    Case(
+        "count fpf -g file:{dir}/wide-header.txt",
+        code=2,
+        err="error: bad graph file: line 1: vertex count '３' is not an integer\n",
+    ),
+    Case(
+        "count fpf -g file:{dir}/wide-edge.txt",
+        code=2,
+        err="error: bad graph file: line 3: edge endpoints must be integers, got '2 ３'\n",
+    ),
+    Case(
+        "verify cycle --n ３",
+        code=2,
+        err="error: bad range '３'; use a single n or lo..hi\n",
+    ),
+    Case(
+        "verify cycle --n 3..６",
+        code=2,
+        err="error: bad range '3..６'; use a single n or lo..hi\n",
     ),
     Case(
         "fibre -g fig4 -o 87152463 --count",
@@ -685,6 +720,38 @@ USAGE = [
             "                     [--workers WORKERS] [--force]\n"
             "                     {fpf,cyclic}\n"
             "parkfun count: error: argument -n: invalid int value: 'x'\n"
+        ),
+    ),
+    Usage(
+        "count cyclic -n ５",
+        code=2,
+        err=(
+            "usage: parkfun count [-h] [--json] [-g GRAPH] [-n N]\n"
+            "                     [--formula | --brute | --both] [--list]\n"
+            "                     [--workers WORKERS] [--force]\n"
+            "                     {fpf,cyclic}\n"
+            "parkfun count: error: argument -n: invalid int value: '５'\n"
+        ),
+    ),
+    Usage(
+        "count fpf -g cycle:4 --brute --workers ２",
+        code=2,
+        err=(
+            "usage: parkfun count [-h] [--json] [-g GRAPH] [-n N]\n"
+            "                     [--formula | --brute | --both] [--list]\n"
+            "                     [--workers WORKERS] [--force]\n"
+            "                     {fpf,cyclic}\n"
+            "parkfun count: error: argument --workers: invalid int value: '２'\n"
+        ),
+    ),
+    Usage(
+        "bijection psi-inverse --perm 21 --start ２",
+        code=2,
+        err=(
+            "usage: parkfun bijection [-h] [--json] [-p PREFERENCE] [--perm PERM]\n"
+            "                         [--start START]\n"
+            "                         {psi,psi-inverse}\n"
+            "parkfun bijection: error: argument --start: invalid int value: '２'\n"
         ),
     ),
     Usage(

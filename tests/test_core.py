@@ -345,6 +345,15 @@ REFUSALS = {
         lambda: parse_graph_header("n x"),
         "line 1: vertex count 'x' is not an integer",
     ),
+    # int() alone would read these digits as 3.
+    "non-ASCII header": (
+        lambda: parse_graph_header("n ３"),
+        "line 1: vertex count '３' is not an integer",
+    ),
+    "non-ASCII edge": (
+        lambda: parse_graph_text("n 3\n1 2\n2 ３\n"),
+        "line 3: edge endpoints must be integers, got '2 ３'",
+    ),
     "cyclic_outcomes(2)": (lambda: list(cyclic_outcomes(2)), "cycle outcomes need n >= 3"),
     "component at 0": (
         lambda: Component(Permutation((1, 2)), 0, 1),

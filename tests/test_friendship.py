@@ -29,7 +29,7 @@ from parkfun import (
     make_preference,
     total_fpf_count,
 )
-from parkfun.limits import ensure_sweep_within_cap
+from parkfun.limits import BadCapSetting, brute_cap, ensure_sweep_within_cap
 from tests.conftest import brute_fibres_by_outcome
 
 STAR = make_graph(4, [(1, 2), (1, 3), (1, 4)])
@@ -176,6 +176,13 @@ class TestEnumerateFpf:
             count_fpf_brute(graph_generator("cycle", 3))
         # a forced sweep never reads the cap
         assert count_fpf_brute(graph_generator("cycle", 3), force=True) == 16
+
+    def test_cap_setting_takes_ascii_digits_only(self, monkeypatch):
+        # int() alone would read "１０" as 10.
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "１０")
+        with pytest.raises(BadCapSetting) as info:
+            brute_cap()
+        assert str(info.value) == "PARKFUN_BRUTE_CAP must be an integer, got '１０'"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_complete_graph_count_is_classical(self, n):

@@ -155,6 +155,18 @@ def test_refused_sweep_loads_only_count(monkeypatch):
     assert "parkfun.friendship" not in loaded
 
 
+@pytest.mark.parametrize(
+    "command, code", [("count fpf -g cycle:5 --both", "0"), ("count fpf -g complete:9 --brute", "2")]
+)
+def test_count_fpf_loads_no_notation(command, code, monkeypatch):
+    """The graph spec's size is read by `core`, so a count that prints no
+    word loads no `notation`."""
+    monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+    exit_code, loaded = _loaded_by(command.split())
+    assert exit_code == code
+    assert "parkfun.notation" not in loaded
+
+
 # Today's exports, by defining module.
 EXPORTS = {
     "classical": ["classical_park", "is_parking_function", "total_displacement"],

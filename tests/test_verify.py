@@ -1,6 +1,8 @@
+import types
+
 import pytest
 
-from parkfun import Direction, friendship, verify
+from parkfun import Direction, cyclic, friendship, verify
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -128,6 +130,26 @@ def test_bijection_suite_reports_a_wrong_decomposition(monkeypatch):
     failed = [c for c in bijection_suite([3]) if not c.passed]
     assert [c.name for c in failed] == ["component-decomposition n=3"]
     assert failed[0].detail == "(2, 1, 3)"
+
+
+def test_bijection_suite_reports_a_wrong_inversion_decoding(monkeypatch):
+    """Two inversion sequences, given as plain tuples, decode to each other's
+    permutation. The pass over every sequence and the displacement fibres
+    each report (0, 0, 0) first; permutation -> sequence -> permutation,
+    which passes an InversionSequence, still round-trips."""
+    real = cyclic.perm_from_inv_seq
+    swap = {(0, 0, 0): (0, 1, 2), (0, 1, 2): (0, 0, 0)}
+
+    def swapped(a):
+        return real(swap.get(a, a) if isinstance(a, tuple) else a)
+
+    tampered = types.SimpleNamespace(**{**vars(cyclic), "perm_from_inv_seq": swapped})
+    monkeypatch.setattr(verify, "cyc", tampered)
+    failed = {c.name: c.detail for c in bijection_suite([3]) if not c.passed}
+    assert failed == {
+        "inversion-sequence-bijection n=3": "(0, 0, 0)",
+        "displacement-fibres n=3": "displacement (0, 0, 0): 3 preferences vs 1 components",
+    }
 
 
 def test_run_suite_dispatch():
