@@ -6,7 +6,9 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError, _parse_word
-from .core import _parse_int
+from .core import ParkingPreference, Permutation, _parse_int
+from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
+from .notation import format_blocks, format_word, format_word_compact
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -17,13 +19,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
-    from .core import ParkingPreference, Permutation
-    from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
-    from .notation import format_blocks, format_word, format_word_compact
-
     if args.direction == "psi":
         if args.preference is None:
             raise UsageError("bijection psi needs a preference (-p)")
+        if args.perm is not None or args.start is not None:
+            raise UsageError("bijection psi takes no --perm or --start")
         p = _parse_word(ParkingPreference, "preference", args.preference)
         inputs = {"direction": "psi", "preference": list(p.entries)}
         try:
@@ -49,6 +49,8 @@ def run(args, say) -> tuple[dict, dict, int]:
 
     if args.perm is None or args.start is None:
         raise UsageError("bijection psi-inverse needs --perm and --start")
+    if args.preference is not None:
+        raise UsageError("bijection psi-inverse takes no preference (-p)")
     host = _parse_word(Permutation, "permutation", args.perm)
     inputs = {"direction": "psi-inverse", "perm": list(host.word), "start": args.start}
     comps = components(host)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError, _graph_spec, _list_preferences
-from .core import FriendshipGraph, _parse_int
+from .core import FriendshipGraph, _parse_int, graph_generator
 from .limits import ensure_sweep_within_cap
 
 
@@ -31,8 +31,6 @@ def _formula(target: str, space: FriendshipGraph | int) -> int:
         from .cyclic import cyclic_total_count
 
         return cyclic_total_count(space)
-    from .core import graph_generator
-
     if space.n >= 3 and space == graph_generator("cycle", space.n):
         from .cycle import cycle_total_count
 
@@ -51,10 +49,14 @@ def run(args, say) -> tuple[dict, dict, int]:
     if args.target == "fpf":
         if args.graph is None:
             raise UsageError("count fpf needs a graph (-g)")
+        if args.n is not None:
+            raise UsageError("count fpf takes no -n")
         n, build = _graph_spec(args.graph)
     else:
         if args.n is None:
             raise UsageError("count cyclic needs -n")
+        if args.graph is not None:
+            raise UsageError("count cyclic takes no graph (-g)")
         if args.n < 1:
             raise UsageError("-n must be positive")
         n = args.n

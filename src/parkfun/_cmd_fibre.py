@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError, _graph_spec, _list_preferences, _parse_word
+from .core import Permutation
+from .notation import format_interval
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -19,8 +21,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
-    from .core import Permutation
-    from .notation import format_interval
     from .structure import NotHamiltonianPath, enumerate_fibre, fibre_characterisation, fibre_size
 
     n, build = _graph_spec(args.graph)

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import argparse
 
+from .classical import classical_park, total_displacement
 from .cli import UsageError, _graph_spec, _parse_word
+from .core import Failure, ParkingPreference
+from .notation import format_word
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -15,10 +18,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
-    from .classical import classical_park, total_displacement
-    from .core import Failure, ParkingPreference
-    from .notation import format_word
-
     p = _parse_word(ParkingPreference, "preference", args.preference)
     inputs = {"mode": args.mode, "preference": list(p.entries), "graph": args.graph}
     if args.mode == "friendship":

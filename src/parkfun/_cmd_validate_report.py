@@ -4,8 +4,11 @@ against the schema."""
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+
+from .report import validate_report
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -30,10 +33,6 @@ def _validation_error() -> type[Exception]:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
-    import json
-
-    from .report import validate_report
-
     inputs = {"source": "stdin"}
     try:
         data = json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)

@@ -7,11 +7,17 @@ failed checks, non-Hamiltonian outcome), 2 usage error.
 
 Each subcommand has a private module of its own, `_cmd_<name>` (`-` read as
 `_`), holding its arguments, `add_arguments(parser)`, and its handler,
-`run(args, say)`, which imports the modules it runs when it runs. The
-parser registers every subcommand's name and help, but imports and fills in
-only the subcommand named on the command line, so a call compiles and
-builds only its own part of the CLI. This module keeps `main` and the input
-helpers that several subcommands share.
+`run(args, say)`. The parser registers every subcommand's name and help,
+but imports and fills in only the subcommand named on the command line, so a
+call compiles and builds only its own part of the CLI. This module keeps
+`main` and the input helpers that several subcommands share.
+
+A subcommand module imports at its top every module that every call of it
+loads. An import stays in a function only where an argument chooses the
+module (count's target, park's mode, the graph spec's kind, `--json`), where
+a lighter call must not load it (validate-report loads no core, and a report
+that conforms no jsonschema), or where a test replaces a function after
+import (fibre's `structure`).
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
+import os
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from .limits import BadCapSetting, SearchCapExceeded
@@ -69,6 +75,8 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
         graph = fig4_graph()
         return graph.n, lambda: graph
     if spec.startswith("file:"):
+        from pathlib import Path
+
         from .core import parse_graph_header, parse_graph_text
 
         with _as_usage_error("cannot read graph file"):
@@ -158,17 +166,26 @@ def main(argv=None) -> int:
     with _ints_in_full():
         try:
             inputs, result, code = args.handler(args, say)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            if args.json:
+                from .report import RunReport
+
+                print(RunReport(args.command, inputs, result, elapsed_ms).to_json())
+            sys.stdout.flush()  # here, so that a pipe closed before it is caught below
         except (UsageError, BadCapSetting) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         except SearchCapExceeded as e:
             print(f"error: {e} (CLI: --force)", file=sys.stderr)
             return 2
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if args.json:
-            from .report import RunReport
-
-            print(RunReport(args.command, inputs, result, elapsed_ms).to_json())
+        except BrokenPipeError:
+            # The reader closed stdout (`parkfun ... | head -1`): stop without
+            # a traceback, and send what is still buffered to devnull so that
+            # the flush at exit does not fail again. A stdout with no file
+            # descriptor raises UnsupportedOperation, an OSError and ValueError.
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -95,7 +95,7 @@ class ParkingPreference(_Word):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]):
+    def __init__(self, entries: Iterable[int]):
         object.__setattr__(self, "entries", tuple(entries))
         n = len(self.entries)
         if n == 0:
@@ -150,7 +150,7 @@ class FriendshipGraph(_Value):
     __slots__ = ("n", "edges", "_neighbors")
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         object.__setattr__(self, "n", n)
         if type(self.n) is not int:
             raise ValueError(f"vertex count {self.n!r} is not an integer")
@@ -183,8 +183,7 @@ class FriendshipGraph(_Value):
         return self._neighbors[v]
 
 
-def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> FriendshipGraph:
-    return FriendshipGraph(n, frozenset(tuple(e) for e in edges))
+make_graph = FriendshipGraph
 
 
 class Success(_Value):
@@ -213,9 +212,7 @@ class Failure(_Value):
 ParkOutcome = Success | Failure
 
 
-def make_preference(entries: Iterable[int]) -> ParkingPreference:
-    """Validated preference vector; every entry must lie in [1, len(entries)]."""
-    return ParkingPreference(tuple(entries))
+make_preference = ParkingPreference
 
 
 def graph_generator(family: str, size: int) -> FriendshipGraph:

@@ -234,6 +234,8 @@ def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:
     from .classical import _all_friends
     from .friendship import _sweep
 
+    if n < 1:
+        raise ValueError("need n >= 1")
     for entries, word in _sweep(n, _all_friends(n), force):
         if _rotation_start(word) is not None:
             yield entries

@@ -47,6 +47,9 @@ class CheckResult:
         self.passed = passed
         self.detail = detail
 
+    def __repr__(self) -> str:
+        return f"CheckResult({self.name!r}, {self.passed!r}, {self.detail!r})"
+
 
 def _check(name: str, bad: list[str], ok_detail: str) -> CheckResult:
     """Pass when `bad` is empty; otherwise report its first discrepancy."""
@@ -188,12 +191,16 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         paths = list(hamiltonian_paths(cn))
         rotations = [(c, expand_cyclic(c)) for c in cyclic_outcomes(n)]
         expansions = {pi.word for _, pi in rotations}
-        ok = len(paths) == 2 * n and {p.word for p in paths} == expansions
+        path_words = {p.word for p in paths}
+        ok = len(paths) == 2 * n and path_words == expansions
         results.append(
             CheckResult(
                 f"cycle-hamiltonian-paths n={n}",
                 ok,
-                f"{len(paths)} paths == 2n rotations",
+                f"{len(paths)} paths == 2n rotations"
+                if ok
+                else f"{len(paths)} paths vs {len(expansions)} rotations, "
+                f"{len(path_words & expansions)} shared",
             )
         )
 

@@ -576,6 +576,26 @@ def test_cli_module_run_as_a_script_exits_2_on_a_usage_error():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: count cyclic needs -n\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(json_flag):
+    """A reader that stops early, as `parkfun ... | head -1` does, ends the
+    call with exit 1 and nothing on stderr. The listing, 645 kB as text and
+    1 MB as JSON, outgrows any pipe buffer, so the call writes after the
+    reader has gone."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parkfun", "fibre", "-g", "complete:8", "-o", "12345678", "--list", *json_flag],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 # A report whose elapsed time is the JSON text `number`.
 NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
 

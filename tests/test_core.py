@@ -143,6 +143,14 @@ class TestFriendshipGraph:
         with pytest.raises(ValueError, match="not an integer"):
             make_graph(n, edges)
 
+    def test_unhashable_vertex_is_not_an_integer(self):
+        with pytest.raises(ValueError, match=r"^vertex \[1\] is not an integer$"):
+            make_graph(3, [([1], 2)])
+
+    def test_factories_are_the_classes(self):
+        assert make_graph is FriendshipGraph
+        assert make_preference is ParkingPreference
+
     def test_duplicate_edges_collapse(self):
         g = make_graph(3, [(1, 2), (2, 1)])
         assert g.edges == frozenset({(1, 2)})

@@ -207,6 +207,12 @@ class TestCounts:
         comp_total = sum(len(components(pi)) for pi in all_perms(n))
         assert cyclic_total_count(n) == brute == comp_total
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sweeps_refuse_n_below_one_as_the_closed_form_does(self, n):
+        for count in (cyclic_total_count, count_cyclic_brute, lambda n: list(enumerate_cyclic_pf(n))):
+            with pytest.raises(ValueError, match=r"^need n >= 1$"):
+                count(n)
+
     def test_brute_refusal_past_the_int_digit_limit(self):
         # 1500^1500 has over 4,300 digits, more than Python prints by default.
         with pytest.raises(SearchCapExceeded, match="exceeds the cap"):

@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from parkfun import Direction, cyclic, friendship, verify
+from parkfun import Direction, ParkingPreference, cyclic, friendship, graph_generator, verify
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -150,6 +150,105 @@ def test_bijection_suite_reports_a_wrong_inversion_decoding(monkeypatch):
         "inversion-sequence-bijection n=3": "(0, 0, 0)",
         "displacement-fibres n=3": "displacement (0, 0, 0): 3 preferences vs 1 components",
     }
+
+
+def _drop_last_of_runs_for_2(real):
+    def tampered(j, pi, graph):
+        run = real(j, pi, graph)
+        return types.SimpleNamespace(elements=run.elements[:-1]) if j == 2 else run
+
+    return tampered
+
+
+# One tamper per check that no other test makes fail: the suite, its n, the
+# name verify calls ("cyc." for the cyclic module as verify sees it), a
+# function of the real callable that returns its replacement, and every check
+# that then fails with its first detail. The two props checks fail together:
+# classical outcomes that are all Hamiltonian paths of C_4 leave no witness
+# beyond them, and differ from the outcomes on K_4, which has every path.
+TAMPERS = [
+    pytest.param(
+        props_suite, 3, "is_parking_function",
+        lambda real: lambda p: p.entries != (1, 1, 1) and real(p),
+        {"friendship-implies-classical n=3": "3 discrepancies, first: (1, 1, 1) on [(1, 2), (2, 3)]"},
+        id="friendship-implies-classical",
+    ),
+    pytest.param(
+        props_suite, 4, "_all_friends", lambda real: lambda n: graph_generator("cycle", n)._neighbors,
+        {
+            "classical-hamiltonian-outcome-transfers n=4": (
+                "60 discrepancies, first: (2, 2, 1, 1) on [(1, 2), (1, 3), (1, 4), (2, 3)]"
+            ),
+            "friendship-beyond-hamiltonian-outcomes C_4": "no witness found",
+        },
+        id="classical-outcomes-of-the-cycle",
+    ),
+    pytest.param(
+        cycle_suite, 4, "hamiltonian_paths", lambda real: lambda g: list(real(g))[:-1],
+        {"cycle-hamiltonian-paths n=4": "7 paths vs 8 rotations, 7 shared"},
+        id="cycle-hamiltonian-paths",
+    ),
+    pytest.param(
+        cycle_suite, 4, "cycle_total_count", lambda real: lambda n: real(n) + 1,
+        {"cycle-count-closed-form n=4": "formula 66 vs brute 65"},
+        id="cycle-count-closed-form",
+    ),
+    pytest.param(
+        cycle_suite, 4, "blocking_sequence", _drop_last_of_runs_for_2,
+        {"cycle-blocking-run-shapes n=4": "run for 2 in (1, 2, 3, 4): (1,) != (1, 2)"},
+        id="cycle-blocking-run-shapes",
+    ),
+    pytest.param(
+        cycle_suite, 3, "blocking_sequence", _drop_last_of_runs_for_2,
+        {"three-cycle-replacement": "run for 2 in 132 is (), fibre size 2"},
+        id="three-cycle-replacement",
+    ),
+    pytest.param(
+        bijection_suite, 3, "cyc.cyclic_total_count", lambda real: lambda n: real(n) + 1,
+        {"cyclic-count n=3": "brute 10, formula 11, components 10"},
+        id="cyclic-count",
+    ),
+    pytest.param(
+        bijection_suite, 3, "cyc.psi_inverse",
+        lambda real: lambda c: ParkingPreference((1, 1, 2)) if real(c).entries == (1, 1, 1) else real(c),
+        {"component-bijection-round-trip n=3": "round trip at (1, 1, 1)"},
+        id="component-bijection-round-trip",
+    ),
+    pytest.param(
+        bijection_suite, 3, "cyc.cyclic_fibre_size", lambda real: lambda i, n: real(i, n) + (i == 2),
+        {"cyclic-fibre-sizes n=3": "start 2"},
+        id="cyclic-fibre-sizes",
+    ),
+    pytest.param(
+        lambda sizes: table1_suite(), None, "cyc.enumerate_cyclic_pf",
+        lambda real: lambda n, force: list(real(n, force=force))[:-1],
+        {
+            "three-car-reference-table": (
+                "first mismatch: ((3, 1, 2), (2, 2, 1), (0, 1, 0), (2, 1, 3), 3) "
+                "!= ((2, 3, 1), (3, 1, 2), (0, 0, 0), (1, 2, 3), 2)"
+            )
+        },
+        id="three-car-reference-table",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, n, name, tamper, failed", TAMPERS)
+def test_each_check_can_fail(monkeypatch, suite, n, name, tamper, failed):
+    module, _, attr = name.rpartition(".")
+    if module:
+        tampered = types.SimpleNamespace(**{**vars(cyclic), attr: tamper(getattr(cyclic, attr))})
+        monkeypatch.setattr(verify, "cyc", tampered)
+    else:
+        monkeypatch.setattr(verify, attr, tamper(getattr(verify, attr)))
+    assert {c.name: c.detail for c in suite([n]) if not c.passed} == failed
+
+
+def test_check_results_name_themselves():
+    check = verify.CheckResult("cyclic-count n=3", False, "brute 10, formula 11, components 10")
+    assert repr(check) == (
+        "CheckResult('cyclic-count n=3', False, 'brute 10, formula 11, components 10')"
+    )
 
 
 def test_run_suite_dispatch():
