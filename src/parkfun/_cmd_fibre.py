@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 
+from . import structure
 from .cli import UsageError, _graph_spec, _list_preferences, _parse_word
 from .core import Permutation
 from .notation import format_interval
@@ -21,8 +22,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args, say) -> tuple[dict, dict, int]:
-    from .structure import NotHamiltonianPath, enumerate_fibre, fibre_characterisation, fibre_size
-
     n, build = _graph_spec(args.graph)
     perm = _parse_word(Permutation, "permutation", args.outcome)
     mode = "count" if args.count else "list" if args.list else "sets"
@@ -37,18 +36,18 @@ def run(args, say) -> tuple[dict, dict, int]:
     graph = build()
     try:
         if mode == "sets":
-            chi = fibre_characterisation(perm, graph)
+            chi = structure.fibre_characterisation(perm, graph)
             for car, (lo, hi) in enumerate(chi.spot_sets, start=1):
                 say(f"S_{car} = {format_interval(lo, hi)}")
             return inputs, {"spot_sets": [list(s) for s in chi.spot_sets]}, 0
         if mode == "count":
-            size = fibre_size(perm, graph)
+            size = structure.fibre_size(perm, graph)
             say(f"fibre size: {size}")
             return inputs, {"fibre_size": size}, 0
         result: dict = {}
-        prefs = enumerate_fibre(perm, graph, force=args.force)
+        prefs = structure.enumerate_fibre(perm, graph, force=args.force)
         count = _list_preferences(prefs, args, say, result)
-    except NotHamiltonianPath as e:
+    except structure.NotHamiltonianPath as e:
         say(f"error: {e}")
         return inputs, {"error": str(e)}, 1
     result["count"] = count

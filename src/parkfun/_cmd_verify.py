@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError
-from .core import _parse_int
+from .core import _parse_int, _TooLong
 from .verify import _SUITES, SUITE_NAMES, run_suite
 
 
@@ -23,6 +23,8 @@ def _parse_n_range(text: str) -> range:
             lo, hi = _parse_int(lo_s), _parse_int(hi_s)
         else:
             lo = hi = _parse_int(text)
+    except _TooLong as e:
+        raise UsageError(f"bad range: {e}") from None
     except ValueError:
         raise UsageError(f"bad range {text!r}; use a single n or lo..hi") from None
     if lo < 1 or hi < lo:

@@ -16,8 +16,7 @@ A subcommand module imports at its top every module that every call of it
 loads. An import stays in a function only where an argument chooses the
 module (count's target, park's mode, the graph spec's kind, `--json`), where
 a lighter call must not load it (validate-report loads no core, and a report
-that conforms no jsonschema), or where a test replaces a function after
-import (fibre's `structure`).
+that conforms no jsonschema).
 """
 
 from __future__ import annotations
@@ -86,9 +85,10 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
         return n, _as_usage_error("bad graph file")(lambda: parse_graph_text(text))
     family, sep, size = spec.partition(":")
     if sep:
-        from .core import _parse_int, graph_generator
+        from .core import _MAX_DIGITS, _parse_int, graph_generator
 
-        what = f"bad graph spec {spec!r}"
+        # A number too long to read is named by its length, not repeated.
+        what = "bad graph spec" if len(size) > _MAX_DIGITS else f"bad graph spec {spec!r}"
         with _as_usage_error(what):
             n = _parse_int(size)
         return n, _as_usage_error(what)(lambda: graph_generator(family, n))
@@ -178,11 +178,15 @@ def main(argv=None) -> int:
         except SearchCapExceeded as e:
             print(f"error: {e} (CLI: --force)", file=sys.stderr)
             return 2
-        except BrokenPipeError:
-            # The reader closed stdout (`parkfun ... | head -1`): stop without
-            # a traceback, and send what is still buffered to devnull so that
-            # the flush at exit does not fail again. A stdout with no file
-            # descriptor raises UnsupportedOperation, an OSError and ValueError.
+        except OSError as e:
+            # A reader that closed stdout (`parkfun ... | head -1`) ends the
+            # call silently; any other failed write, such as a full disk, is
+            # named. Either way, stop without a traceback, and send what is
+            # still buffered to devnull so that the flush at exit does not
+            # fail again. A stdout with no file descriptor raises
+            # UnsupportedOperation, an OSError and ValueError.
+            if not isinstance(e, BrokenPipeError):
+                print(f"error: {e}", file=sys.stderr)
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
             return 1

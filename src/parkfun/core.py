@@ -18,9 +18,23 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
 
 
+# Python's default limit on int <-> str conversion. The CLI lifts it so that
+# totals past it print, but a number read from outside is held to it: int()
+# takes time quadratic in the length of its text.
+_MAX_DIGITS = 4300
+
+
+class _TooLong(ValueError):
+    """Outside text past _MAX_DIGITS characters where a number belongs; the
+    message names its length, never the text, and a rewrap must keep it so."""
+
+
 def _parse_int(text: str) -> int:
-    """`int(text)` for ASCII text; int() alone reads any Unicode digit, such
-    as "１" or "٣". Named `int`, as argparse names a `type=` in its errors."""
+    """`int(text)` for ASCII text of at most _MAX_DIGITS characters; int()
+    alone reads any Unicode digit, such as "１" or "٣". Named `int`, as
+    argparse names a `type=` in its errors."""
+    if len(text) > _MAX_DIGITS:
+        raise _TooLong(f"a number of {len(text)} characters is past the {_MAX_DIGITS}-digit limit")
     if not text.isascii():
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
@@ -254,6 +268,8 @@ def parse_graph_header(text: str) -> int:
             raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
         try:
             return _parse_int(parts[1])
+        except _TooLong as e:
+            raise ValueError(f"line {lineno}: {e}") from None
         except ValueError:
             raise ValueError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
     raise ValueError("graph file has no 'n <count>' header")
@@ -275,6 +291,8 @@ def parse_graph_text(text: str) -> FriendshipGraph:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = _parse_int(parts[0]), _parse_int(parts[1])
+        except _TooLong as e:
+            raise ValueError(f"line {lineno}: {e}") from None
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers, got {line!r}") from None
         edges.append((u, v))

@@ -56,6 +56,7 @@ def expand_cyclic(c: CyclicOutcome) -> Permutation:
 
 def cyclic_outcomes(n: int) -> Iterator[CyclicOutcome]:
     """All 2n rotation outcomes: increasing then decreasing, by start."""
+    # CyclicOutcome refuses n < 3 too, but for n < 1 none is ever built.
     if n < 3:
         raise ValueError("cycle outcomes need n >= 3")
     for direction in (Direction.INCREASING, Direction.DECREASING):

@@ -23,10 +23,6 @@ from .notation import format_word_compact
 class NotCyclicPreference(ValueError):
     """The classical outcome of the preference is not an increasing rotation."""
 
-    def __init__(self, message: str, outcome: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.outcome = outcome
-
 
 class InversionSequence(_Word):
     """Non-negative integers with entries[i] < i (1-indexed)."""
@@ -187,8 +183,7 @@ def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
     i = _rotation_start(word)
     if i is None:
         raise NotCyclicPreference(
-            f"outcome {format_word_compact(word)} is not an increasing cycle",
-            outcome=word,
+            f"outcome {format_word_compact(word)} is not an increasing cycle"
         )
     comps = components(perm_from_inv_seq(res.displacement))
     # The components partition 1..n, so exactly one of them holds i.

@@ -47,10 +47,12 @@ def brute_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    from .core import _parse_int
+    from .core import _parse_int, _TooLong
 
     try:
         cap = _parse_int(raw)
+    except _TooLong as e:
+        raise BadCapSetting(f"{CAP_ENV_VAR}: {e}") from None
     except ValueError:
         raise BadCapSetting(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap <= 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _parse_int
+from .core import _parse_int, _TooLong
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -23,6 +23,8 @@ def parse_word(text: str) -> tuple[int, ...]:
             part = part.strip()
             try:
                 values.append(_parse_int(part))
+            except _TooLong:
+                raise
             except ValueError:
                 raise ValueError(f"{part!r} is not an integer") from None
         return tuple(values)

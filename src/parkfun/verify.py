@@ -82,13 +82,15 @@ def _graph_corpus(n: int) -> tuple[list[FriendshipGraph], str]:
 
 def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckResult]:
     """Containment, Hamiltonian-path equivalence, outcome transfer and the
-    fibre-box partition, against brute force on a graph corpus."""
+    fibre-box partition, against brute force on a graph corpus, and the
+    complete graph K_n against classical parking."""
     results = []
     for n in n_values:
         ensure_sweep_within_cap(n, force, sweeps=_corpus_size(n))
         graphs, corpus_note = _graph_corpus(n)
         classical_words = dict(_sweep(n, _all_friends(n), force=True))
         cn = graph_generator("cycle", n) if n >= 4 else None
+        kn = graph_generator("complete", n)
         subset_bad: list[str] = []
         nonempty_bad: list[str] = []
         transfer_bad: list[str] = []
@@ -108,6 +110,8 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             path_words = {pi.word for pi in paths}
             if graph == cn:  # every corpus holds C_n, so its witness reuses these
                 cn_words, cn_paths = words, path_words
+            if graph == kn:  # so does K_n
+                kn_words = words
             for entries, word in classical_words.items():
                 if word in path_words and words.get(entries) != word:
                     transfer_bad.append(f"{entries} on {sorted(graph.edges)}")
@@ -133,6 +137,19 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         ):
             first = [f"{len(bad)} discrepancies, first: {bad[0]}"] if bad else []
             results.append(_check(check, first, f"{corpus_note}, {n ** n} preferences each"))
+
+        # On K_n every car is a friend of every other, so friendship parking
+        # is classical parking: (n+1)^(n-1) preferences (Konheim & Weiss 1966).
+        total = (n + 1) ** (n - 1)
+        same = kn_words == classical_words
+        results.append(
+            CheckResult(
+                f"complete-graph-is-classical n={n}",
+                same and len(kn_words) == total,
+                f"{len(kn_words)} preferences on K_{n}, (n+1)^(n-1) = {total}, "
+                + ("outcomes as classical" if same else "outcomes differ from classical"),
+            )
+        )
 
         if cn is not None:
             witness = next(

@@ -189,6 +189,33 @@ class TestHostileSize:
         assert err.count("error:") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, cap, length",
+        [
+            (["park", "friendship", "-g", "FILE", "-p", "1,1,1"], None, 1_000_000),
+            (["park", "classical", "-p", "1," + "9" * 5000], None, 5000),
+            (["park", "friendship", "-g", "cycle:" + "9" * 5000, "-p", "1,1,1"], None, 5000),
+            (["count", "fpf", "-g", "cycle:4", "--brute"], "9" * 5000, 5000),
+        ],
+        ids=["graph-file-vertex", "preference-entry", "graph-spec", "brute-cap"],
+    )
+    def test_number_past_the_digit_limit_is_refused_by_its_length(
+        self, capsys, monkeypatch, tmp_path, argv, cap, length
+    ):
+        """A number of more than 4,300 digits is refused before int() reads
+        it, which takes time quadratic in its length, and the refusal names
+        the length instead of repeating the digits."""
+        if cap is not None:
+            monkeypatch.setenv("PARKFUN_BRUTE_CAP", cap)
+        if "FILE" in argv:
+            path = tmp_path / "long.graph"
+            path.write_text("n 3\n1 " + "7" * 1_000_000 + "\n")
+            argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert f"a number of {length} characters is past the 4300-digit limit" in err
+
 
 class TestCount:
     def test_cyclic_formula(self, capsys):
@@ -457,7 +484,7 @@ class TestVerify:
         assert err == "error: suite 'cycle' has no checks for n = 2; its smallest n is 3\n"
 
     @pytest.mark.parametrize(
-        "suite, n_range, total", [("cycle", "1..3", 4), ("all", "1..2", 21)]
+        "suite, n_range, total", [("cycle", "1..3", 4), ("all", "1..2", 23)]
     )
     def test_range_below_a_suite_runs_what_applies(self, capsys, suite, n_range, total):
         code, out, _ = run(capsys, "verify", suite, "--n", n_range)
@@ -495,6 +522,7 @@ class TestVerify:
                         "nonempty-iff-hamiltonian",
                         "classical-hamiltonian-outcome-transfers",
                         "fibre-box-partition",
+                        "complete-graph-is-classical",
                     )
                 ]
                 + ["friendship-beyond-hamiltonian-outcomes C_4"],
@@ -594,6 +622,20 @@ def test_closed_stdout_exits_1_without_a_traceback(json_flag):
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_failed_stdout_write_exits_1_with_one_error_line(json_flag):
+    """A write to stdout that fails for another reason than a closed pipe,
+    here a full device, is named on stderr in one line, not a traceback."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parkfun", "park", "classical", "-p", "1", *json_flag],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
 # A report whose elapsed time is the JSON text `number`.

@@ -418,6 +418,8 @@ GOLDEN = [
             "PASS  classical-hamiltonian-outcome-transfers n=1: all 1 labelled graphs, 1 "
             "preferences each\n"
             "PASS  fibre-box-partition n=1: all 1 labelled graphs, 1 preferences each\n"
+            "PASS  complete-graph-is-classical n=1: 1 preferences on K_1, (n+1)^(n-1) = "
+            "1, outcomes as classical\n"
             "PASS  friendship-implies-classical n=2: all 2 labelled graphs, 4 "
             "preferences each\n"
             "PASS  nonempty-iff-hamiltonian n=2: all 2 labelled graphs, 4 preferences "
@@ -425,6 +427,8 @@ GOLDEN = [
             "PASS  classical-hamiltonian-outcome-transfers n=2: all 2 labelled graphs, 4 "
             "preferences each\n"
             "PASS  fibre-box-partition n=2: all 2 labelled graphs, 4 preferences each\n"
+            "PASS  complete-graph-is-classical n=2: 3 preferences on K_2, (n+1)^(n-1) = "
+            "3, outcomes as classical\n"
             "PASS  inversion-sequence-bijection n=1: 1 permutations both ways\n"
             "PASS  component-decomposition n=1: greedy cuts match minimal blocks on 1 "
             "permutations\n"
@@ -441,7 +445,7 @@ GOLDEN = [
             "PASS  cyclic-fibre-sizes n=2: all 2 rotation fibres match the factorial "
             "product\n"
             "PASS  displacement-fibres n=2: 2 displacement vectors\n"
-            "21/21 checks passed\n"
+            "23/23 checks passed\n"
         ),
         json=(
             '{"command": "verify", "inputs": {"suite": "all", "n": "1..2", "force": '
@@ -454,18 +458,21 @@ GOLDEN = [
             '"classical-hamiltonian-outcome-transfers n=1", "passed": true, "detail": '
             '"all 1 labelled graphs, 1 preferences each"}, {"name": "fibre-box-partition '
             'n=1", "passed": true, "detail": "all 1 labelled graphs, 1 preferences '
-            'each"}, {"name": "friendship-implies-classical n=2", "passed": true, '
-            '"detail": "all 2 labelled graphs, 4 preferences each"}, {"name": '
-            '"nonempty-iff-hamiltonian n=2", "passed": true, "detail": "all 2 labelled '
-            'graphs, 4 preferences each"}, {"name": '
-            '"classical-hamiltonian-outcome-transfers n=2", "passed": true, "detail": '
-            '"all 2 labelled graphs, 4 preferences each"}, {"name": "fibre-box-partition '
+            'each"}, {"name": "complete-graph-is-classical n=1", "passed": true, '
+            '"detail": "1 preferences on K_1, (n+1)^(n-1) = 1, outcomes as classical"}, '
+            '{"name": "friendship-implies-classical n=2", "passed": true, "detail": "all '
+            '2 labelled graphs, 4 preferences each"}, {"name": "nonempty-iff-hamiltonian '
             'n=2", "passed": true, "detail": "all 2 labelled graphs, 4 preferences '
-            'each"}, {"name": "inversion-sequence-bijection n=1", "passed": true, '
-            '"detail": "1 permutations both ways"}, {"name": "component-decomposition '
-            'n=1", "passed": true, "detail": "greedy cuts match minimal blocks on 1 '
-            'permutations"}, {"name": "cyclic-count n=1", "passed": true, "detail": '
-            '"brute 1, formula 1, components 1"}, {"name": '
+            'each"}, {"name": "classical-hamiltonian-outcome-transfers n=2", "passed": '
+            'true, "detail": "all 2 labelled graphs, 4 preferences each"}, {"name": '
+            '"fibre-box-partition n=2", "passed": true, "detail": "all 2 labelled '
+            'graphs, 4 preferences each"}, {"name": "complete-graph-is-classical n=2", '
+            '"passed": true, "detail": "3 preferences on K_2, (n+1)^(n-1) = 3, outcomes '
+            'as classical"}, {"name": "inversion-sequence-bijection n=1", "passed": '
+            'true, "detail": "1 permutations both ways"}, {"name": '
+            '"component-decomposition n=1", "passed": true, "detail": "greedy cuts match '
+            'minimal blocks on 1 permutations"}, {"name": "cyclic-count n=1", "passed": '
+            'true, "detail": "brute 1, formula 1, components 1"}, {"name": '
             '"component-bijection-round-trip n=1", "passed": true, "detail": "1 '
             'preferences <-> 1 components"}, {"name": "cyclic-fibre-sizes n=1", '
             '"passed": true, "detail": "all 1 rotation fibres match the factorial '

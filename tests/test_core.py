@@ -35,6 +35,7 @@ from parkfun import (
     parse_graph_text,
 )
 from parkfun.core import parse_graph_header
+from parkfun.structure import fibre_characterisation
 
 
 class TestMakePreference:
@@ -363,11 +364,27 @@ REFUSALS = {
         "line 3: edge endpoints must be integers, got '2 ３'",
     ),
     "cyclic_outcomes(2)": (lambda: list(cyclic_outcomes(2)), "cycle outcomes need n >= 3"),
+    # No start label exists, so no CyclicOutcome is built to refuse these.
+    "cyclic_outcomes(0)": (lambda: list(cyclic_outcomes(0)), "cycle outcomes need n >= 3"),
+    "cyclic_outcomes(-5)": (lambda: list(cyclic_outcomes(-5)), "cycle outcomes need n >= 3"),
     "component at 0": (
         lambda: Component(Permutation((1, 2)), 0, 1),
         "positions 0..1 are outside [1, 2]",
     ),
     "cyclic_total_count(0)": (lambda: cyclic_total_count(0), "need n >= 1"),
+    "run past its target": (
+        lambda: BlockingSequence((1, 2), 1),
+        "blocking sequence must end at its target",
+    ),
+    "interval per car": (
+        lambda: FibreCharacterisation(Permutation((1, 2)), ((1, 1),)),
+        "need exactly one spot interval per car",
+    ),
+    # A path of C_4, but of two vertices: no Hamiltonian path of the graph.
+    "outcome shorter than the graph": (
+        lambda: fibre_characterisation(Permutation((1, 2)), graph_generator("cycle", 4)),
+        "(1, 2) is not a Hamiltonian path of the graph",
+    ),
 }
 
 

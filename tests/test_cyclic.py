@@ -64,6 +64,9 @@ class TestComponents:
             Component(host, 2, 3)  # values {1, 3} are not the interval {2, 3}
         assert Component(host, 1, 2).word == (2, 1)
 
+    def test_component_size(self):
+        assert [c.size for c in components(Permutation((2, 1, 3, 5, 6, 4)))] == [2, 1, 3]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_greedy_cuts_match_quadratic_minimality(self, n):
         for pi in all_perms(n):

@@ -17,6 +17,12 @@ def test_round_trip():
     assert RunReport.from_dict(data) == report
 
 
+def test_equality_is_within_the_class():
+    report = RunReport("park", {}, {}, 1.5)
+    assert report != report.to_dict()
+    assert report.__eq__(report.to_dict()) is NotImplemented
+
+
 def test_schema_accepts_valid():
     report = {"command": "count", "inputs": {}, "result": {"formula": 192}, "elapsed_ms": 0.2}
     assert _conforms(report, report_schema())

@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from parkfun import Direction, ParkingPreference, cyclic, friendship, graph_generator, verify
+from parkfun import Direction, FriendshipGraph, ParkingPreference, cyclic, friendship, graph_generator, verify
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -163,9 +163,10 @@ def _drop_last_of_runs_for_2(real):
 # One tamper per check that no other test makes fail: the suite, its n, the
 # name verify calls ("cyc." for the cyclic module as verify sees it), a
 # function of the real callable that returns its replacement, and every check
-# that then fails with its first detail. The two props checks fail together:
+# that then fails with its first detail. Three props checks fail together:
 # classical outcomes that are all Hamiltonian paths of C_4 leave no witness
-# beyond them, and differ from the outcomes on K_4, which has every path.
+# beyond them, and differ from the outcomes on K_4, which has every path and
+# whose friendship parking is classical parking.
 TAMPERS = [
     pytest.param(
         props_suite, 3, "is_parking_function",
@@ -179,9 +180,23 @@ TAMPERS = [
             "classical-hamiltonian-outcome-transfers n=4": (
                 "60 discrepancies, first: (2, 2, 1, 1) on [(1, 2), (1, 3), (1, 4), (2, 3)]"
             ),
+            "complete-graph-is-classical n=4": (
+                "125 preferences on K_4, (n+1)^(n-1) = 125, outcomes differ from classical"
+            ),
             "friendship-beyond-hamiltonian-outcomes C_4": "no witness found",
         },
         id="classical-outcomes-of-the-cycle",
+    ),
+    # Classical outcomes of two cars that are not friends: (1, 1) no longer
+    # parks, which only K_2 tells apart.
+    pytest.param(
+        props_suite, 2, "_all_friends", lambda real: lambda n: FriendshipGraph(n, ())._neighbors,
+        {
+            "complete-graph-is-classical n=2": (
+                "3 preferences on K_2, (n+1)^(n-1) = 3, outcomes differ from classical"
+            )
+        },
+        id="complete-graph-is-classical",
     ),
     pytest.param(
         cycle_suite, 4, "hamiltonian_paths", lambda real: lambda g: list(real(g))[:-1],
