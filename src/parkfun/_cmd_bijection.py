@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import UsageError, _parse_word
-from .core import ParkingPreference, Permutation, _parse_int
+from .cli import UsageError, _int_option, _parse_word
+from .core import ParkingPreference, Permutation
 from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
 from .notation import format_blocks, format_word, format_word_compact
 
@@ -15,7 +15,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("direction", choices=["psi", "psi-inverse"])
     parser.add_argument("-p", "--preference")
     parser.add_argument("--perm", help="host permutation (psi-inverse)")
-    parser.add_argument("--start", type=_parse_int, help="start position of the component (psi-inverse)")
+    parser.add_argument("--start", type=_int_option, help="start position of the component (psi-inverse)")
 
 
 def run(args, say) -> tuple[dict, dict, int]:

@@ -5,21 +5,21 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import UsageError, _graph_spec, _list_preferences
-from .core import FriendshipGraph, _parse_int, graph_generator
+from .cli import UsageError, _graph_spec, _int_option, _list_preferences
+from .core import FriendshipGraph, graph_generator
 from .limits import ensure_sweep_within_cap
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("target", choices=["fpf", "cyclic"])
     parser.add_argument("-g", "--graph")
-    parser.add_argument("-n", type=_parse_int, help="number of cars (cyclic target)")
+    parser.add_argument("-n", type=_int_option, help="number of cars (cyclic target)")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--formula", action="store_true", help="closed form only (default)")
     mode.add_argument("--brute", action="store_true", help="exhaustive simulation only")
     mode.add_argument("--both", action="store_true", help="closed form and brute force; exit 1 on mismatch")
     parser.add_argument("--list", action="store_true", help="list preferences found by the sweep")
-    parser.add_argument("--workers", type=_parse_int, default=1, help="accepted and ignored: the sweep is serial")
+    parser.add_argument("--workers", type=_int_option, default=1, help="accepted and ignored: the sweep is serial")
     parser.add_argument("--force", action="store_true", help="ignore the search-space cap")
 
 

@@ -8,6 +8,7 @@ import argparse
 from .classical import classical_park, total_displacement
 from .cli import UsageError, _graph_spec, _parse_word
 from .core import Failure, ParkingPreference
+from .friendship import friendship_park
 from .notation import format_word
 
 
@@ -21,8 +22,6 @@ def run(args, say) -> tuple[dict, dict, int]:
     p = _parse_word(ParkingPreference, "preference", args.preference)
     inputs = {"mode": args.mode, "preference": list(p.entries), "graph": args.graph}
     if args.mode == "friendship":
-        from .friendship import friendship_park
-
         if args.graph is None:
             raise UsageError("friendship mode needs a graph (-g)")
         n, build = _graph_spec(args.graph)

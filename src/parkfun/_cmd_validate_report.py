@@ -7,8 +7,13 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
+from .limits import _MAX_DIGITS
 from .report import validate_report
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -24,6 +29,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int | Decimal:
+    """A JSON integer: an int up to the digit limit, and past it a Decimal,
+    which is as exact and reads its text in linear time, where int() takes
+    quadratic time."""
+    if len(text) <= _MAX_DIGITS:
+        return int(text)
+    from decimal import Decimal
+
+    return Decimal(text)
+
+
 def _validation_error() -> type[Exception]:
     """jsonschema's ValidationError. An except clause evaluates its type only
     once something is raised, so a report that conforms never loads jsonschema."""
@@ -35,7 +51,7 @@ def _validation_error() -> type[Exception]:
 def run(args, say) -> tuple[dict, dict, int]:
     inputs = {"source": "stdin"}
     try:
-        data = json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
+        data = json.load(sys.stdin, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         say(f"error: not JSON: {e}")
         return inputs, {"valid": False, "error": str(e)}, 1

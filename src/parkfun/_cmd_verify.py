@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError
-from .core import _parse_int, _TooLong
+from .core import _quote, _read_int
 from .verify import _SUITES, SUITE_NAMES, run_suite
 
 
@@ -17,18 +17,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_n_range(text: str) -> range:
-    try:
-        if ".." in text:
-            lo_s, _, hi_s = text.partition("..")
-            lo, hi = _parse_int(lo_s), _parse_int(hi_s)
-        else:
-            lo = hi = _parse_int(text)
-    except _TooLong as e:
-        raise UsageError(f"bad range: {e}") from None
-    except ValueError:
-        raise UsageError(f"bad range {text!r}; use a single n or lo..hi") from None
+    lo_s, sep, hi_s = text.partition("..")
+    lo, hi = (
+        _read_int(s, "bad range", lambda: f"bad range {_quote(text)}; use a single n or lo..hi", UsageError)
+        for s in (lo_s, hi_s if sep else lo_s)
+    )
     if lo < 1 or hi < lo:
-        raise UsageError(f"bad range {text!r}; need 1 <= lo <= hi")
+        raise UsageError(f"bad range {_quote(text)}; need 1 <= lo <= hi")
     return range(lo, hi + 1)
 
 

@@ -14,9 +14,9 @@ call compiles and builds only its own part of the CLI. This module keeps
 
 A subcommand module imports at its top every module that every call of it
 loads. An import stays in a function only where an argument chooses the
-module (count's target, park's mode, the graph spec's kind, `--json`), where
-a lighter call must not load it (validate-report loads no core, and a report
-that conforms no jsonschema).
+module (count's target, the graph spec's kind, `--json`), where a lighter
+call must not load it (validate-report loads no core, and a report that
+conforms no jsonschema).
 """
 
 from __future__ import annotations
@@ -61,6 +61,15 @@ def _parse_word(kind: Callable[[tuple[int, ...]], _T], what: str, text: str) -> 
         return kind(parse_word(text))
 
 
+def _int_option(text: str) -> int:
+    """The `type=` of an integer option: text past the digit limit is refused
+    by its length, and other bad text as argparse refuses it for `type=int`,
+    quoted to a bound."""
+    from .core import _quote, _read_int
+
+    return _read_int(text, "", lambda: f"invalid int value: {_quote(text)}", argparse.ArgumentTypeError)
+
+
 def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     """The vertex count `spec` names, and a function that builds its graph.
 
@@ -68,6 +77,8 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     hold it to the input's length or to the cap before a graph of hostile
     size is built.
     """
+    from .core import _parse_int, _quote, graph_generator, parse_graph_header, parse_graph_text
+
     if spec == "fig4":
         from .structure import fig4_graph
 
@@ -76,8 +87,6 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     if spec.startswith("file:"):
         from pathlib import Path
 
-        from .core import parse_graph_header, parse_graph_text
-
         with _as_usage_error("cannot read graph file"):
             text = Path(spec[len("file:"):]).read_text()
         with _as_usage_error("bad graph file"):
@@ -85,15 +94,12 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
         return n, _as_usage_error("bad graph file")(lambda: parse_graph_text(text))
     family, sep, size = spec.partition(":")
     if sep:
-        from .core import _MAX_DIGITS, _parse_int, graph_generator
-
-        # A number too long to read is named by its length, not repeated.
-        what = "bad graph spec" if len(size) > _MAX_DIGITS else f"bad graph spec {spec!r}"
+        what = f"bad graph spec {_quote(spec)}"
         with _as_usage_error(what):
             n = _parse_int(size)
         return n, _as_usage_error(what)(lambda: graph_generator(family, n))
     raise UsageError(
-        f"graph spec {spec!r} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"
+        f"graph spec {_quote(spec)} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"
     )
 
 

@@ -8,7 +8,9 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from .limits import _MAX_DIGITS
 
 
 def _require_ints(values: tuple, what: str) -> None:
@@ -18,29 +20,38 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
 
 
-# Python's default limit on int <-> str conversion. The CLI lifts it so that
-# totals past it print, but a number read from outside is held to it: int()
-# takes time quadratic in the length of its text.
-_MAX_DIGITS = 4300
-
-
 class _TooLong(ValueError):
     """Outside text past _MAX_DIGITS characters where a number belongs; the
     message names its length, never the text, and a rewrap must keep it so."""
 
 
+def _quote(text: str) -> str:
+    """`repr(text)`, or past 40 characters the repr of the first 40 and the
+    length, so that a refusal never repeats long outside text."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_int(text: str) -> int:
     """`int(text)` for ASCII text of at most _MAX_DIGITS characters; int()
-    alone reads any Unicode digit, such as "１" or "٣". Named `int`, as
-    argparse names a `type=` in its errors."""
+    alone reads any Unicode digit, such as "１" or "٣"."""
     if len(text) > _MAX_DIGITS:
         raise _TooLong(f"a number of {len(text)} characters is past the {_MAX_DIGITS}-digit limit")
     if not text.isascii():
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {_quote(text)}")
     return int(text)
 
 
-_parse_int.__name__ = "int"
+def _read_int(text: str, where: str, bad: Callable[[], str], error=ValueError) -> int:
+    """`_parse_int(text)`, or `error`: past the digit limit it names the length,
+    after `where` when given; for any other refusal it says `bad()`, built then."""
+    try:
+        return _parse_int(text)
+    except _TooLong as e:
+        raise error(f"{where}: {e}" if where else str(e)) from None
+    except ValueError:
+        raise error(bad()) from None
 
 
 def _require_label(what: str, v: int, n: int) -> None:
@@ -247,7 +258,7 @@ def graph_generator(family: str, size: int) -> FriendshipGraph:
         if size < 1:
             raise ValueError("path graphs need at least 1 vertex")
         return make_graph(size, ((i, i + 1) for i in range(1, size)))
-    raise ValueError(f"unknown graph family {family!r}")
+    raise ValueError(f"unknown graph family {_quote(family)}")
 
 
 def _graph_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -265,13 +276,9 @@ def parse_graph_header(text: str) -> int:
     for lineno, line in _graph_lines(text):
         parts = line.split()
         if len(parts) != 2 or parts[0] != "n":
-            raise ValueError(f"line {lineno}: expected header 'n <count>', got {line!r}")
-        try:
-            return _parse_int(parts[1])
-        except _TooLong as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-        except ValueError:
-            raise ValueError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
+            raise ValueError(f"line {lineno}: expected header 'n <count>', got {_quote(line)}")
+        where = f"line {lineno}"
+        return _read_int(parts[1], where, lambda: f"{where}: vertex count {_quote(parts[1])} is not an integer")
     raise ValueError("graph file has no 'n <count>' header")
 
 
@@ -288,13 +295,12 @@ def parse_graph_text(text: str) -> FriendshipGraph:
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = _parse_int(parts[0]), _parse_int(parts[1])
-        except _TooLong as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-        except ValueError:
-            raise ValueError(f"line {lineno}: edge endpoints must be integers, got {line!r}") from None
+            raise ValueError(f"line {lineno}: expected 'u v', got {_quote(line)}")
+        where = f"line {lineno}"
+        u, v = (
+            _read_int(part, where, lambda: f"{where}: edge endpoints must be integers, got {_quote(line)}")
+            for part in parts
+        )
         edges.append((u, v))
     return make_graph(n, edges)
 

@@ -11,6 +11,11 @@ DEFAULT_CAP = 8 ** 8
 # 9,000, a millisecond); past it n alone settles a refusal.
 _EXACT_BITS = 1 << 17
 
+# Python's default limit on int <-> str conversion. The CLI lifts it so that
+# totals past it print, but a number read from outside is held to it: int()
+# takes time quadratic in the length of its text.
+_MAX_DIGITS = 4300
+
 
 class BadCapSetting(ValueError):
     """``PARKFUN_BRUTE_CAP`` is set but is not a positive integer."""
@@ -47,14 +52,11 @@ def brute_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    from .core import _parse_int, _TooLong
+    from .core import _quote, _read_int
 
-    try:
-        cap = _parse_int(raw)
-    except _TooLong as e:
-        raise BadCapSetting(f"{CAP_ENV_VAR}: {e}") from None
-    except ValueError:
-        raise BadCapSetting(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    cap = _read_int(
+        raw, CAP_ENV_VAR, lambda: f"{CAP_ENV_VAR} must be an integer, got {_quote(raw)}", BadCapSetting
+    )
     if cap <= 0:
         raise BadCapSetting(f"{CAP_ENV_VAR} must be positive, got {cap}")
     return cap

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _parse_int, _TooLong
+from .core import _quote, _read_int
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -21,19 +21,14 @@ def parse_word(text: str) -> tuple[int, ...]:
         values = []
         for part in s.split(","):
             part = part.strip()
-            try:
-                values.append(_parse_int(part))
-            except _TooLong:
-                raise
-            except ValueError:
-                raise ValueError(f"{part!r} is not an integer") from None
+            values.append(_read_int(part, "", lambda: f"{_quote(part)} is not an integer"))
         return tuple(values)
     # str.isdigit() alone admits digits such as "²" and "１" that int() refuses.
     if not (s.isascii() and s.isdigit()):
-        raise ValueError(f"{text!r} is not a comma-separated or compact word")
+        raise ValueError(f"{_quote(text)} is not a comma-separated or compact word")
     if "0" in s:
         raise ValueError(
-            f"{text!r}: compact notation covers single digits 1-9 only; "
+            f"{_quote(text)}: compact notation covers single digits 1-9 only; "
             "use comma-separated values for larger entries"
         )
     return tuple(int(ch) for ch in s)

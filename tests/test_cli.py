@@ -190,31 +190,64 @@ class TestHostileSize:
         assert message in err
 
     @pytest.mark.parametrize(
-        "argv, cap, length",
+        "argv, cap, length, context",
         [
-            (["park", "friendship", "-g", "FILE", "-p", "1,1,1"], None, 1_000_000),
-            (["park", "classical", "-p", "1," + "9" * 5000], None, 5000),
-            (["park", "friendship", "-g", "cycle:" + "9" * 5000, "-p", "1,1,1"], None, 5000),
-            (["count", "fpf", "-g", "cycle:4", "--brute"], "9" * 5000, 5000),
+            (["park", "friendship", "-g", "FILE", "-p", "1,1,1"], None, 1_000_000, "bad graph file: line 2: "),
+            (["park", "classical", "-p", "1," + "9" * 5000], None, 5000, "bad preference: "),
+            (["park", "friendship", "-g", "cycle:" + "9" * 5000, "-p", "1,1,1"], None, 5000, "bad graph spec"),
+            (["count", "fpf", "-g", "cycle:4", "--brute"], "9" * 5000, 5000, "PARKFUN_BRUTE_CAP: "),
+            (["park", "friendship", "-g", "HEADER", "-p", "1,1,1"], None, 5000, "bad graph file: line 1: "),
+            (["verify", "cycle", "--n", "9" * 5000], None, 5000, "bad range: "),
         ],
-        ids=["graph-file-vertex", "preference-entry", "graph-spec", "brute-cap"],
+        ids=["graph-file-vertex", "preference-entry", "graph-spec", "brute-cap", "graph-file-header", "verify-range"],
     )
     def test_number_past_the_digit_limit_is_refused_by_its_length(
-        self, capsys, monkeypatch, tmp_path, argv, cap, length
+        self, capsys, monkeypatch, tmp_path, argv, cap, length, context
     ):
         """A number of more than 4,300 digits is refused before int() reads
         it, which takes time quadratic in its length, and the refusal names
-        the length instead of repeating the digits."""
+        the length, after the context of the number, instead of repeating
+        the digits."""
         if cap is not None:
             monkeypatch.setenv("PARKFUN_BRUTE_CAP", cap)
-        if "FILE" in argv:
+        files = {"FILE": "n 3\n1 " + "7" * 1_000_000 + "\n", "HEADER": "n " + "7" * 5000 + "\n"}
+        for name in files.keys() & argv:
             path = tmp_path / "long.graph"
-            path.write_text("n 3\n1 " + "7" * 1_000_000 + "\n")
-            argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+            path.write_text(files[name])
+            argv = [f"file:{path}" if a == name else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert f"a number of {length} characters is past the 4300-digit limit" in err
+        assert err.startswith(f"error: {context}")
+
+    @pytest.mark.parametrize(
+        "argv, text, length",
+        [
+            (["park", "friendship", "-g", "FILE", "-p", "1,1,1"], "n 3\n1 2 " + "x" * 1_000_000, 1_000_004),
+            (["park", "friendship", "-g", "FILE", "-p", "1,1,1"], "x" * 1_000_000, 1_000_000),
+            (["park", "friendship", "-g", "x" * 100_000 + ":3", "-p", "1,1,1"], None, 100_000),
+            (["count", "cyclic", "-n", "9" * 5000], None, 5000),
+            (["bijection", "psi-inverse", "--perm", "21", "--start", "9" * 5000], None, 5000),
+            (["park", "classical", "-p", "9" * 4999 + "0"], None, 5000),
+        ],
+        ids=["graph-file-edge", "graph-file-header", "graph-family", "count-n", "bijection-start", "compact-word"],
+    )
+    def test_refusal_quotes_outside_text_to_a_bound(self, capsys, tmp_path, argv, text, length):
+        """A refusal names long outside text by its start and its length,
+        and never repeats it in full."""
+        if text is not None:
+            path = tmp_path / "long.graph"
+            path.write_text(text + "\n")
+            argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses an option's value itself
+            code = e.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        assert f"{length} characters" in err
 
 
 class TestCount:
@@ -649,6 +682,18 @@ class TestValidateReport:
         code, out, _ = run(capsys, "validate-report")
         assert code == 0
         assert "ok" in out
+
+    def test_reads_a_long_integer_in_linear_time(self):
+        """int() reads an integer in time quadratic in its digits: 2,000,000
+        of them took over 15 s on a 2-core machine. A Decimal reads them in
+        milliseconds."""
+        report = '{"command": "count", "inputs": {}, "result": {"formula": %s}, "elapsed_ms": 0.5}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "parkfun", "validate-report"],
+            input=report % ("7" * 2_000_000), env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
     def test_rejects_invalid(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"command": "x"}'))

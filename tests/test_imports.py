@@ -128,7 +128,7 @@ def _call(command: str, unloaded: frozenset[str] = frozenset()):
              "parkfun.report", "dataclasses", "inspect", "jsonschema"},
         ),
         (["validate-report"], REPORT,
-         {"parkfun.core", "parkfun.verify", "parkfun.structure", "dataclasses", "jsonschema"}),
+         {"parkfun.core", "parkfun.verify", "parkfun.structure", "dataclasses", "jsonschema", "decimal"}),
         _call("park friendship -g cycle:4 -p 2,2,4,1"),
         _call("park friendship -g file:{dir}/graph.txt -p 1,1,2"),
         _call("fibre -g fig4 -o 87152463 --count"),

@@ -2,7 +2,17 @@ import types
 
 import pytest
 
-from parkfun import Direction, FriendshipGraph, ParkingPreference, cyclic, friendship, graph_generator, verify
+from parkfun import (
+    Direction,
+    FriendshipGraph,
+    ParkingPreference,
+    Permutation,
+    Success,
+    cyclic,
+    friendship,
+    graph_generator,
+    verify,
+)
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -160,10 +170,22 @@ def _drop_last_of_runs_for_2(real):
     return tampered
 
 
-# One tamper per check that no other test makes fail: the suite, its n, the
-# name verify calls ("cyc." for the cyclic module as verify sees it), a
-# function of the real callable that returns its replacement, and every check
-# that then fails with its first detail. Three props checks fail together:
+def _first_cyclic_starts_at_2(real):
+    """`_psi`, with (1, 1, 1) parked as if the car in spot 1 were car 2."""
+    def tampered(p):
+        res, c, comps = real(p)
+        if p.entries == (1, 1, 1):
+            res = Success(Permutation((2, 3, 1)), res.displacement)
+        return res, c, comps
+
+    return tampered
+
+
+# One tamper per check, or per kind of discrepancy a check reports, that no
+# other test makes fail: the suite, its n, the name verify calls ("cyc." for
+# the cyclic module as verify sees it), a function of the real callable that
+# returns its replacement, and every check that then fails with its first
+# detail. Three props checks fail together:
 # classical outcomes that are all Hamiltonian paths of C_4 leave no witness
 # beyond them, and differ from the outcomes on K_4, which has every path and
 # whose friendship parking is classical parking.
@@ -219,6 +241,12 @@ TAMPERS = [
         id="three-cycle-replacement",
     ),
     pytest.param(
+        bijection_suite, 3, "cyc.inv_seq",
+        lambda real: lambda pi: real(Permutation((2, 1, 3)) if pi.word == (1, 2, 3) else pi),
+        {"inversion-sequence-bijection n=3": "(1, 2, 3)"},
+        id="inversion-sequence-bijection",
+    ),
+    pytest.param(
         bijection_suite, 3, "cyc.cyclic_total_count", lambda real: lambda n: real(n) + 1,
         {"cyclic-count n=3": "brute 10, formula 11, components 10"},
         id="cyclic-count",
@@ -228,6 +256,33 @@ TAMPERS = [
         lambda real: lambda c: ParkingPreference((1, 1, 2)) if real(c).entries == (1, 1, 1) else real(c),
         {"component-bijection-round-trip n=3": "round trip at (1, 1, 1)"},
         id="component-bijection-round-trip",
+    ),
+    # A start moved from 1 to 2 also moves a preference between two
+    # rotation fibres.
+    pytest.param(
+        bijection_suite, 3, "cyc._psi", _first_cyclic_starts_at_2,
+        {
+            "component-bijection-round-trip n=3": "component minimum at (1, 1, 1)",
+            "cyclic-fibre-sizes n=3": "start 1",
+        },
+        id="component-minimum",
+    ),
+    pytest.param(
+        bijection_suite, 3, "cyc.inversion_number",
+        lambda real: lambda value, perm: real(value, perm) + (value == 3),
+        {"component-bijection-round-trip n=3": "displacement/inversion at (1, 1, 1)"},
+        id="displacement-inversion",
+    ),
+    # The identity's components with the first in place of the second: the
+    # cuts no longer match either.
+    pytest.param(
+        bijection_suite, 3, "cyc.components",
+        lambda real: lambda pi: real(pi)[:1] * 2 + real(pi)[2:] if pi.word == (1, 2, 3) else real(pi),
+        {
+            "component-decomposition n=3": "(1, 2, 3)",
+            "component-bijection-round-trip n=3": "image is not all components exactly once",
+        },
+        id="psi-image",
     ),
     pytest.param(
         bijection_suite, 3, "cyc.cyclic_fibre_size", lambda real: lambda i, n: real(i, n) + (i == 2),
