@@ -9,7 +9,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .limits import _MAX_DIGITS
+from .limits import _MAX_DIGITS, _clip
 from .report import validate_report
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ def _finite(text: str) -> float:
     float, refused unless finite (1e999 reads as infinity)."""
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
+        raise ValueError(f"{_clip(text)} is not a finite number")
     return value
 
 
@@ -58,7 +58,8 @@ def run(args, say) -> tuple[dict, dict, int]:
     try:
         validate_report(data)
     except _validation_error() as e:
-        say(f"error: {e.message}")
-        return inputs, {"valid": False, "error": e.message}, 1
+        message = _clip(e.message)  # jsonschema repeats the offending value in full
+        say(f"error: {message}")
+        return inputs, {"valid": False, "error": message}, 1
     say("ok")
     return inputs, {"valid": True}, 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError
-from .core import _quote, _read_int
+from .limits import _quote, _read_int
 from .verify import _SUITES, SUITE_NAMES, run_suite
 
 
@@ -33,9 +33,10 @@ def run(args, say) -> tuple[dict, dict, int]:
     checks = run_suite(args.suite, n_values, force=args.force)
     if not checks:
         # Each suite's default range starts at its smallest n; only a range
-        # wholly below it selects nothing.
+        # wholly below it selects nothing, so its bounds are short.
+        lo, hi = n_values[0], n_values[-1]
         raise UsageError(
-            f"suite {args.suite!r} has no checks for n = {args.n}; "
+            f"suite {args.suite!r} has no checks for n = {lo if lo == hi else f'{lo}..{hi}'}; "
             f"its smallest n is {_SUITES[args.suite][1].start}"
         )
     for c in checks:

@@ -29,7 +29,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
-from .limits import BadCapSetting, SearchCapExceeded
+from .limits import BadCapSetting, SearchCapExceeded, _quote, _read_int
 
 if TYPE_CHECKING:
     from .core import FriendshipGraph, ParkingPreference
@@ -65,8 +65,6 @@ def _int_option(text: str) -> int:
     """The `type=` of an integer option: text past the digit limit is refused
     by its length, and other bad text as argparse refuses it for `type=int`,
     quoted to a bound."""
-    from .core import _quote, _read_int
-
     return _read_int(text, "", lambda: f"invalid int value: {_quote(text)}", argparse.ArgumentTypeError)
 
 
@@ -77,7 +75,7 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     hold it to the input's length or to the cap before a graph of hostile
     size is built.
     """
-    from .core import _parse_int, _quote, graph_generator, parse_graph_header, parse_graph_text
+    from .core import graph_generator, parse_graph_header, parse_graph_text
 
     if spec == "fig4":
         from .structure import fig4_graph
@@ -95,8 +93,9 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
     family, sep, size = spec.partition(":")
     if sep:
         what = f"bad graph spec {_quote(spec)}"
-        with _as_usage_error(what):
-            n = _parse_int(size)
+        n = _read_int(
+            size, what, lambda: f"{what}: invalid literal for int() with base 10: {_quote(size)}", UsageError
+        )
         return n, _as_usage_error(what)(lambda: graph_generator(family, n))
     raise UsageError(
         f"graph spec {_quote(spec)} must be cycle:<n>, complete:<n>, path:<n>, fig4 or file:<path>"

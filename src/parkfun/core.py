@@ -8,9 +8,9 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .limits import _MAX_DIGITS
+from .limits import _clip_word, _quote, _read_int
 
 
 def _require_ints(values: tuple, what: str) -> None:
@@ -18,40 +18,6 @@ def _require_ints(values: tuple, what: str) -> None:
     if list(map(type, values)).count(int) != len(values):
         idx, bad = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not int)
         raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
-
-
-class _TooLong(ValueError):
-    """Outside text past _MAX_DIGITS characters where a number belongs; the
-    message names its length, never the text, and a rewrap must keep it so."""
-
-
-def _quote(text: str) -> str:
-    """`repr(text)`, or past 40 characters the repr of the first 40 and the
-    length, so that a refusal never repeats long outside text."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def _parse_int(text: str) -> int:
-    """`int(text)` for ASCII text of at most _MAX_DIGITS characters; int()
-    alone reads any Unicode digit, such as "１" or "٣"."""
-    if len(text) > _MAX_DIGITS:
-        raise _TooLong(f"a number of {len(text)} characters is past the {_MAX_DIGITS}-digit limit")
-    if not text.isascii():
-        raise ValueError(f"invalid literal for int() with base 10: {_quote(text)}")
-    return int(text)
-
-
-def _read_int(text: str, where: str, bad: Callable[[], str], error=ValueError) -> int:
-    """`_parse_int(text)`, or `error`: past the digit limit it names the length,
-    after `where` when given; for any other refusal it says `bad()`, built then."""
-    try:
-        return _parse_int(text)
-    except _TooLong as e:
-        raise error(f"{where}: {e}" if where else str(e)) from None
-    except ValueError:
-        raise error(bad()) from None
 
 
 def _require_label(what: str, v: int, n: int) -> None:
@@ -147,7 +113,7 @@ class Permutation(_Word):
             raise ValueError("permutation must be non-empty")
         _require_ints(self.word, "value")
         if sorted(self.word) != list(range(1, n + 1)):
-            raise ValueError(f"{self.word} is not a permutation of [1, {n}]")
+            raise ValueError(f"{_clip_word(self.word)} is not a permutation of [1, {n}]")
 
 
 def identity_permutation(n: int) -> Permutation:

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
 from .cycle import _rotation_size, _rotation_sizes, increasing_word
+from .limits import _clip_word
 from .notation import format_word_compact
 
 
@@ -58,7 +59,7 @@ class Component(_Value):
         sub = self.underlying.word[self.start - 1 : self.end]
         if sorted(sub) != list(range(self.start, self.end + 1)):
             raise ValueError(
-                f"positions {self.start}..{self.end} of {self.underlying.word} "
+                f"positions {self.start}..{self.end} of {_clip_word(self.underlying.word)} "
                 "do not hold exactly the values of that interval"
             )
         running = 0

@@ -1,6 +1,9 @@
-"""Guard rail for exhaustive sweeps over the preference space [n]^n."""
+"""Guard rails for outside input: the cap on sweeps over [n]^n, and the digit
+limit, with the one reader of outside numbers and the bounded quote."""
 
+import contextlib
 import os
+from typing import Callable
 
 CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 
@@ -15,6 +18,45 @@ _EXACT_BITS = 1 << 17
 # totals past it print, but a number read from outside is held to it: int()
 # takes time quadratic in the length of its text.
 _MAX_DIGITS = 4300
+
+# A refusal repeats outside text, or a word read from it, only this far.
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """`repr(text)`, or past _QUOTE_CHARS characters the repr of its start and
+    its length, so that a refusal never repeats long outside text."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
+def _clip(text: str, size: str = "") -> str:
+    """`text` unquoted, or past _QUOTE_CHARS characters its start and `size`,
+    by default its length."""
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({size or f'{len(text)} characters'})"
+
+
+def _clip_word(word: tuple) -> str:
+    """`str(word)` clipped by `_clip` to its start and its number of values;
+    only its first _QUOTE_CHARS values are rendered."""
+    return _clip(str(word[:_QUOTE_CHARS]), f"{len(word)} values")
+
+
+def _read_int(text: str, where: str, bad: Callable[[], str], error=ValueError) -> int:
+    """`int(text)` for ASCII text of at most _MAX_DIGITS characters (int()
+    alone reads any Unicode digit, such as "１" or "٣"), or `error`: past the
+    digit limit it names the length, after `where` when given; for any other
+    refusal it says `bad()`, built then."""
+    if len(text) > _MAX_DIGITS:
+        too_long = f"a number of {len(text)} characters is past the {_MAX_DIGITS}-digit limit"
+        raise error(f"{where}: {too_long}" if where else too_long)
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise error(bad())
 
 
 class BadCapSetting(ValueError):
@@ -52,8 +94,6 @@ def brute_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    from .core import _quote, _read_int
-
     cap = _read_int(
         raw, CAP_ENV_VAR, lambda: f"{CAP_ENV_VAR} must be an integer, got {_quote(raw)}", BadCapSetting
     )

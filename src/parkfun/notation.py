@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _quote, _read_int
+from .limits import _quote, _read_int
 
 
 def parse_word(text: str) -> tuple[int, ...]:

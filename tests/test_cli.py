@@ -15,6 +15,9 @@ from parkfun.report import validate_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# A report whose elapsed time is the JSON text `number`.
+NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -248,6 +251,29 @@ class TestHostileSize:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 1000
         assert f"{length} characters" in err
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        [
+            (["bijection", "psi-inverse", "--perm", ",".join(["1"] * 50_000), "--start", "1"], "", 2),
+            (["verify", "cycle", "--n", "0" * 4000 + "1.." + "0" * 4000 + "2"], "", 2),
+            (["validate-report"], NUMBER_REPORT % ("1" * 100_000 + "e999"), 1),
+            (["validate-report"], NUMBER_REPORT % ("-" + "7" * 2_000_000), 1),
+        ],
+        ids=["refused-word", "verify-leading-zeros", "report-number-literal", "report-schema-message"],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_refusal_bounds_words_ranges_and_report_messages(
+        self, capsys, monkeypatch, argv, stdin, code, json_flag
+    ):
+        """A refused word is named by its start and its number of values, an
+        empty `--n` range by the numbers it holds, and a report's error by its
+        start and its length: none repeats its input in full."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        got, out, err = run(capsys, *argv, *json_flag)
+        assert got == code
+        assert (out + err).count("\n") == 1
+        assert len((out + err).encode()) < 1000
 
 
 class TestCount:
@@ -669,10 +695,6 @@ def test_failed_stdout_write_exits_1_with_one_error_line(json_flag):
             text=True, timeout=60,
         )
     assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
-
-
-# A report whose elapsed time is the JSON text `number`.
-NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
 
 
 class TestValidateReport:

@@ -64,6 +64,17 @@ class TestComponents:
             Component(host, 2, 3)  # values {1, 3} are not the interval {2, 3}
         assert Component(host, 1, 2).word == (2, 1)
 
+    def test_refusal_names_a_long_word_by_its_start(self):
+        """A refused component names its host, and a refused permutation its
+        word, by the start and the number of values; a short word in full."""
+        host = Permutation(tuple(range(3000, 0, -1)))
+        with pytest.raises(ValueError, match=r"^positions 1\.\.2 of \(3000, 2999, .*\.\.\. \(3000 values\) do"):
+            Component(host, 1, 2)
+        with pytest.raises(ValueError, match=r"^\(1, 1, .*\.\.\. \(3000 values\) is not a permutation"):
+            Permutation((1,) * 3000)
+        with pytest.raises(ValueError, match=r"^positions 2\.\.3 of \(2, 1, 3\) do not"):
+            Component(Permutation((2, 1, 3)), 2, 3)
+
     def test_component_size(self):
         assert [c.size for c in components(Permutation((2, 1, 3, 5, 6, 4)))] == [2, 1, 3]
 

@@ -79,6 +79,27 @@ print(parkfun.structure.fibre_size is parkfun.fibre_size, parkfun.notation.__nam
     assert _python(script) == "\nTrue parkfun.notation\n"
 
 
+@pytest.mark.parametrize(
+    "raw, printed",
+    [("12", "12"), ("x", "refused: PARKFUN_BRUTE_CAP must be an integer, got 'x'")],
+    ids=["valid", "not-a-number"],
+)
+def test_brute_cap_reads_its_setting_without_core(raw, printed, monkeypatch):
+    """`limits` reads the cap with its own number reader: it imports nothing
+    from the package."""
+    script = """
+import sys
+from parkfun.limits import BadCapSetting, brute_cap
+try:
+    print(brute_cap())
+except BadCapSetting as e:
+    print("refused:", e)
+print("parkfun.core" in sys.modules)
+"""
+    monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)
+    assert _python(script) == f"{printed}\nFalse\n"
+
+
 # Prints the exit code, then every module loaded by one CLI call.
 CLI_PROBE = """
 import contextlib, io, sys
@@ -159,7 +180,7 @@ def test_refused_sweep_loads_only_count(monkeypatch):
     "command, code", [("count fpf -g cycle:5 --both", "0"), ("count fpf -g complete:9 --brute", "2")]
 )
 def test_count_fpf_loads_no_notation(command, code, monkeypatch):
-    """The graph spec's size is read by `core`, so a count that prints no
+    """The graph spec's size is read by `limits`, so a count that prints no
     word loads no `notation`."""
     monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
     exit_code, loaded = _loaded_by(command.split())
