@@ -48,6 +48,22 @@ def _validation_error() -> type[Exception]:
     return ValidationError
 
 
+def _message(e) -> str:
+    """jsonschema's message with the outside text it repeats clipped by
+    `_clip`: the offending value that opens a `type` or `minimum` message, or
+    the unexpected names in an `additionalProperties` one. Both are found by
+    their length, as jsonschema's versions order the names differently."""
+    message = e.message
+    if e.validator in ("type", "minimum"):
+        start, size = 0, len(repr(e.instance))
+    elif e.validator == "additionalProperties":
+        extras = [repr(name) for name in e.instance if name not in e.schema["properties"]]
+        start, size = message.index("(") + 1, len(", ".join(extras))
+    else:
+        return message
+    return message[:start] + _clip(message[start : start + size]) + message[start + size :]
+
+
 def run(args, say) -> tuple[dict, dict, int]:
     inputs = {"source": "stdin"}
     try:
@@ -58,7 +74,7 @@ def run(args, say) -> tuple[dict, dict, int]:
     try:
         validate_report(data)
     except _validation_error() as e:
-        message = _clip(e.message)  # jsonschema repeats the offending value in full
+        message = _message(e)
         say(f"error: {message}")
         return inputs, {"valid": False, "error": message}, 1
     say("ok")

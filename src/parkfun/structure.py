@@ -4,7 +4,8 @@ Successful friendship outcomes are exactly the Hamiltonian paths of the
 graph. For a Hamiltonian path, the set of preferences mapping onto it is a
 box: car i may prefer precisely the spots covered by the maximal run of
 "blockers" ending at i. This module enumerates Hamiltonian paths, computes
-blocking runs, and turns them into fibre sets, sizes and totals.
+blocking runs by previous-greater jumps, and turns them into fibre sets,
+sizes and totals.
 """
 
 from __future__ import annotations
@@ -77,13 +78,16 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
     label, on an explicit stack: a path is as deep as the graph is large, so
     recursion would hit Python's limit. Car word[k]'s blocking run reads only
     word[0..k], so its length is known as soon as the DFS appends word[k]:
-    the fibre size is carried down the DFS as a running product.
+    the fibre size is carried down the DFS as a running product. The run's
+    previous-greater jumps pg[0..k] are kept in step with the path: placing
+    word[k] sets pg[k], and a backtrack leaves it to be overwritten.
     """
     n = graph.n
     neighbors = graph._neighbors
     ordered = [()] + [tuple(sorted(neighbors[v])) for v in range(1, n + 1)]
     used = [False] * (n + 1)
     path: list[int] = []
+    pg = [-1] * n
     # stack[k]: the untried candidates for path[k], and the product over path[:k]
     stack = [(iter(range(1, n + 1)), 1)]
     while stack:
@@ -98,7 +102,7 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
             continue
         k = len(path)
         path.append(v)
-        size *= k - _run_start(path, k, neighbors) + 1
+        size *= k - _run_start(path, k, pg, neighbors) + 1
         if k + 1 == n:
             yield tuple(path), size
             path.pop()
@@ -129,14 +133,26 @@ def _blocks(word: Sequence[int], k: int, i: int, friends: frozenset[int]) -> boo
     return False
 
 
-def _run_start(word: Sequence[int], k: int, neighbors) -> int:
-    """Index where the maximal blocking run ending at word index k starts."""
+def _run_start(word: Sequence[int], k: int, pg: list[int], neighbors) -> int:
+    """Index where the maximal blocking run ending at word index k starts.
+
+    pg[j] is the nearest index left of j whose value exceeds word[j], or -1.
+    Every value smaller than i = word[k] blocks car i, so the scan jumps over
+    each one, and the smaller values before it, to the next larger value; only
+    that one gets the neighbour test of `_blocks`. pg[:k] must be set; the
+    first jump sets pg[k].
+    """
     i = word[k]
     friends = neighbors[i]
-    start = k
-    while start > 0 and _blocks(word, start - 1, i, friends):
-        start -= 1
-    return start
+    j = k - 1
+    while j >= 0 and word[j] < i:
+        j = pg[j]
+    pg[k] = j
+    while j >= 0 and _blocks(word, j, i, friends):
+        j -= 1
+        while j >= 0 and word[j] < i:
+            j = pg[j]
+    return j + 1
 
 
 def _require_same_size(perm: Permutation, graph: FriendshipGraph) -> None:
@@ -158,11 +174,15 @@ def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> boo
 
 
 def blocking_sequence(i: int, perm: Permutation, graph: FriendshipGraph) -> BlockingSequence:
-    """Scan left from i's position while the blocker predicate holds."""
+    """Scan left from i's position while the blocker predicate holds. The
+    runs ending before i's position are found on the way: they set the jumps
+    that i's scan takes."""
     _require_same_size(perm, graph)
-    end = inverse_position(perm, i) - 1
-    start = _run_start(perm.word, end, graph._neighbors)
-    return BlockingSequence(perm.word[start : end + 1], i)
+    prefix = perm.word[: inverse_position(perm, i)]
+    pg = [-1] * len(prefix)
+    for k in range(len(prefix)):
+        start = _run_start(prefix, k, pg, graph._neighbors)
+    return BlockingSequence(prefix[start:], i)
 
 
 def fibre_characterisation(perm: Permutation, graph: FriendshipGraph) -> FibreCharacterisation:
@@ -177,9 +197,10 @@ def fibre_characterisation(perm: Permutation, graph: FriendshipGraph) -> FibreCh
             f"{perm.word} is not a Hamiltonian path of the graph"
         )
     word = perm.word
+    pg = [-1] * perm.n
     sets: list[tuple[int, int]] = [(0, 0)] * perm.n
     for k, i in enumerate(word):
-        sets[i - 1] = (_run_start(word, k, graph._neighbors) + 1, k + 1)
+        sets[i - 1] = (_run_start(word, k, pg, graph._neighbors) + 1, k + 1)
     return FibreCharacterisation(perm, tuple(sets))
 
 

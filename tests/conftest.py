@@ -2,12 +2,14 @@ import itertools
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from parkfun import (
     Success,
     friendship_park,
     graph_generator,
     brute_fibre_counts,
+    make_graph,
     make_preference,
 )
 
@@ -49,3 +51,11 @@ def brute_fibres_by_outcome(graph):
         if isinstance(res, Success):
             fibres.setdefault(res.outcome.word, set()).add(entries)
     return fibres
+
+
+@st.composite
+def small_graphs(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, k in zip(pairs, keep) if k])

@@ -722,6 +722,33 @@ class TestValidateReport:
         code, out, _ = run(capsys, "validate-report")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            (
+                NUMBER_REPORT % '1, "extra": 2',
+                "Additional properties are not allowed ('extra' was unexpected)",
+            ),
+            (
+                NUMBER_REPORT % f'1, "{"k" * 2_000_000}": 2, "b": 3',
+                "Additional properties are not allowed ('b', 'kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk..."
+                " (2000007 characters) were unexpected)",
+            ),
+            (
+                NUMBER_REPORT % ("-" + "7" * 2_000_000),
+                "Decimal('-" + "7" * 30 + "... (2000012 characters) is less than the minimum of 0",
+            ),
+        ],
+        ids=["extra-name", "long-extra-name", "long-negative-number"],
+    )
+    def test_schema_message_clips_only_the_repeated_value(self, capsys, monkeypatch, report, message):
+        """jsonschema's wording stays whole; only the outside text it repeats
+        is clipped to its start and its length."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(report))
+        code, out, _ = run(capsys, "validate-report")
+        assert (code, out) == (1, f"error: {message}\n")
+        assert len(out.encode()) < 1000
+
     def test_rejects_non_json(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
         code, out, _ = run(capsys, "validate-report")

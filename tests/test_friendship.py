@@ -30,7 +30,7 @@ from parkfun import (
     total_fpf_count,
 )
 from parkfun.limits import BadCapSetting, brute_cap, ensure_sweep_within_cap
-from tests.conftest import brute_fibres_by_outcome
+from tests.conftest import brute_fibres_by_outcome, small_graphs
 
 STAR = make_graph(4, [(1, 2), (1, 3), (1, 4)])
 
@@ -187,14 +187,6 @@ class TestEnumerateFpf:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_complete_graph_count_is_classical(self, n):
         assert count_fpf_brute(graph_generator("complete", n)) == (n + 1) ** (n - 1)
-
-
-@st.composite
-def small_graphs(draw, max_n=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return make_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=30, deadline=None)

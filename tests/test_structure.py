@@ -4,6 +4,8 @@ import sys
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkfun import structure
 from parkfun import (
@@ -13,6 +15,7 @@ from parkfun import (
     Success,
     blocking_sequence,
     count_fpf_brute,
+    cycle_total_count,
     enumerate_fibre,
     fibre_characterisation,
     fibre_size,
@@ -24,11 +27,12 @@ from parkfun import (
     identity_permutation,
     inverse_position,
     is_blocker,
+    is_hamiltonian_path,
     make_graph,
     make_preference,
     total_fpf_count,
 )
-from tests.conftest import brute_fibres_by_outcome
+from tests.conftest import brute_fibres_by_outcome, small_graphs
 
 FIG4 = fig4_graph()
 PI_FIG4 = Permutation((8, 7, 1, 5, 2, 4, 6, 3))
@@ -295,6 +299,33 @@ class TestTotalCount:
         path = graph_generator("path", n)
         assert total_fpf_count(path) == count_fpf_brute(path) == factorial(n) + 1
 
+    @pytest.mark.parametrize(
+        "kind, n, total",
+        [("cycle", 150, cycle_total_count(150)), ("path", 300, factorial(300) + 1)],
+    )
+    def test_long_paths_and_cycles(self, kind, n, total):
+        assert total_fpf_count(graph_generator(kind, n)) == total
+
+    @pytest.mark.parametrize(
+        "kind, n, tests",
+        [("path", 200, 19_900), ("cycle", 200, 78_807), ("complete", 7, 11_327)],
+    )
+    def test_neighbour_tests_per_total(self, monkeypatch, kind, n, tests):
+        """Work, not time: the number of neighbour tests a total makes is the
+        same on any machine. A scan stepping left one value at a time made
+        1,353,200, 2,765,108 and 31,003 of them."""
+        calls = 0
+        blocks = structure._blocks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return blocks(*args)
+
+        monkeypatch.setattr(structure, "_blocks", counted)
+        total_fpf_count(graph_generator(kind, n))
+        assert calls == tests
+
     def test_long_paths_within_the_recursion_limit(self):
         # The DFS is as deep as the path is long; it must not take one
         # Python frame per level.
@@ -327,3 +358,52 @@ class TestTotalCount:
             for pi in hamiltonian_paths(c4)
         }
         assert per_outcome == {w: len(s) for w, s in fibres.items()}
+
+
+def _plain_run_start(k, perm, graph):
+    """Where the blocking run ending at word index k starts, stepping left one
+    value at a time with the literal `is_blocker`."""
+    word = perm.word
+    i = word[k]
+    while k > 0 and is_blocker(word[k - 1], i, perm, graph):
+        k -= 1
+    return k
+
+
+@st.composite
+def words_and_graphs(draw, max_n):
+    """A permutation of a random graph's vertices; for about half the draws
+    the permutation is planted in the graph as a Hamiltonian path."""
+    graph = draw(small_graphs(max_n=max_n))
+    n = graph.n
+    word = tuple(draw(st.permutations(range(1, n + 1))))
+    if draw(st.booleans()):
+        graph = make_graph(n, [*graph.edges, *zip(word, word[1:])])
+    return Permutation(word), graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_and_graphs(max_n=9))
+def test_run_starts_match_a_plain_left_scan(case):
+    perm, graph = case
+    word = perm.word
+    starts = [_plain_run_start(k, perm, graph) for k in range(perm.n)]
+    for k, i in enumerate(word):
+        assert blocking_sequence(i, perm, graph).elements == word[starts[k] : k + 1]
+    if is_hamiltonian_path(perm, graph):
+        spot_sets = fibre_characterisation(perm, graph).spot_sets
+        assert [spot_sets[i - 1] for i in word] == [(start + 1, k + 1) for k, start in enumerate(starts)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(max_n=7))
+def test_leaves_match_filtered_permutations(graph):
+    """`_leaves` yields every Hamiltonian path in lexicographic order, each
+    with the product of its plain-scan run lengths."""
+    expected = []
+    for word in itertools.permutations(range(1, graph.n + 1)):
+        perm = Permutation(word)
+        if is_hamiltonian_path(perm, graph):
+            runs = [k - _plain_run_start(k, perm, graph) + 1 for k in range(graph.n)]
+            expected.append((word, prod(runs)))
+    assert list(structure._leaves(graph)) == expected
