@@ -66,7 +66,7 @@ _EXPORTS_BY_MODULE = {
         "is_friendship_pf",
     ),
     "limits": ("BadCapSetting", "SearchCapExceeded", "brute_cap", "ensure_within_cap"),
-    "report": ("RunReport", "report_schema", "validate_report"),
+    "report": ("InvalidReport", "RunReport", "report_schema", "validate_report"),
     "structure": (
         "BlockingSequence",
         "FibreCharacterisation",

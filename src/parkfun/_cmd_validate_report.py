@@ -10,7 +10,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .limits import _MAX_DIGITS, _clip
-from .report import validate_report
+from .report import InvalidReport, validate_report
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -40,30 +40,6 @@ def _integer(text: str) -> int | Decimal:
     return Decimal(text)
 
 
-def _validation_error() -> type[Exception]:
-    """jsonschema's ValidationError. An except clause evaluates its type only
-    once something is raised, so a report that conforms never loads jsonschema."""
-    from jsonschema import ValidationError
-
-    return ValidationError
-
-
-def _message(e) -> str:
-    """jsonschema's message with the outside text it repeats clipped by
-    `_clip`: the offending value that opens a `type` or `minimum` message, or
-    the unexpected names in an `additionalProperties` one. Both are found by
-    their length, as jsonschema's versions order the names differently."""
-    message = e.message
-    if e.validator in ("type", "minimum"):
-        start, size = 0, len(repr(e.instance))
-    elif e.validator == "additionalProperties":
-        extras = [repr(name) for name in e.instance if name not in e.schema["properties"]]
-        start, size = message.index("(") + 1, len(", ".join(extras))
-    else:
-        return message
-    return message[:start] + _clip(message[start : start + size]) + message[start + size :]
-
-
 def run(args, say) -> tuple[dict, dict, int]:
     inputs = {"source": "stdin"}
     try:
@@ -73,9 +49,8 @@ def run(args, say) -> tuple[dict, dict, int]:
         return inputs, {"valid": False, "error": str(e)}, 1
     try:
         validate_report(data)
-    except _validation_error() as e:
-        message = _message(e)
-        say(f"error: {message}")
-        return inputs, {"valid": False, "error": message}, 1
+    except InvalidReport as e:
+        say(f"error: {e}")
+        return inputs, {"valid": False, "error": str(e)}, 1
     say("ok")
     return inputs, {"valid": True}, 0

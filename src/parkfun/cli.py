@@ -15,8 +15,7 @@ call compiles and builds only its own part of the CLI. This module keeps
 A subcommand module imports at its top every module that every call of it
 loads. An import stays in a function only where an argument chooses the
 module (count's target, the graph spec's kind, `--json`), where a lighter
-call must not load it (validate-report loads no core, and a report that
-conforms no jsonschema).
+call must not load it (validate-report loads no core).
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+
+from .limits import _clip
 
 
 class RunReport:
@@ -47,53 +50,50 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-# The keywords `_conforms` reads, then the annotations it skips.
-_KNOWN = {"type", "required", "properties", "additionalProperties", "minimum",
-          "$schema", "title", "description"}
+# The fields of schemas/runreport.schema.json and their draft-7 types, in
+# its order; a test holds the two equal.
+_FIELDS = {"command": "string", "inputs": "object", "result": "object", "elapsed_ms": "number"}
+_TYPES = {"string": str, "object": dict, "number": numbers.Number}
 
 
-def _conforms(data, schema: dict) -> bool:
-    """True only when `data` plainly satisfies `schema`: objects, strings and
-    finite numbers under the keywords in `_KNOWN`. False means "not vouched
-    for", not "invalid": jsonschema judges the rest, a bool as a number or a
-    keyword this does not read included."""
-    if not schema.keys() <= _KNOWN:
-        return False
-    kind = schema.get("type")
-    if kind == "string":
-        return type(data) is str
-    if kind == "number":
-        finite = type(data) is int or (type(data) is float and math.isfinite(data))
-        return finite and ("minimum" not in schema or data >= schema["minimum"])
-    if kind != "object" or type(data) is not dict:
-        return False
-    properties = schema.get("properties", {})
-    extra = schema.get("additionalProperties", True)
-    return (
-        all(name in data for name in schema.get("required", ()))
-        and (extra is True or (extra is False and data.keys() <= properties.keys()))
-        and all(_conforms(data[name], sub) for name, sub in properties.items() if name in data)
-    )
+class InvalidReport(ValueError):
+    """A document that is not a RunReport; the message names its first fault."""
+
+
+def _is_finite(number) -> bool:
+    """Whether a draft-7 number is finite. An int always is, and math.isfinite
+    would overflow on a huge one; a Decimal, a Number but not a Real, says so
+    itself, as comparing its signalling NaN raises."""
+    if isinstance(number, numbers.Rational):
+        return True
+    if isinstance(number, numbers.Real):
+        return math.isfinite(number)
+    return number.is_finite()
 
 
 def validate_report(data: dict) -> None:
-    """Raise jsonschema.ValidationError when `data` is not a RunReport, or
-    when its elapsed_ms is NaN or infinite, which the schema cannot rule out.
-
-    jsonschema is imported only for a report that `_conforms` does not
-    vouch for, so that a valid report does not pay for loading it.
-    """
-    schema = report_schema()
-    if _conforms(data, schema):
-        return
-    import jsonschema
-
-    try:
-        jsonschema.validate(data, schema)
-    except ArithmeticError:  # decimal.InvalidOperation: `minimum` cannot order a Decimal NaN
-        raise jsonschema.ValidationError(f"elapsed_ms {data['elapsed_ms']} is not finite") from None
+    """Raise InvalidReport unless `data` is a RunReport under the schema,
+    with a finite elapsed_ms, which draft-7 cannot require. The message keeps
+    jsonschema's wording, clips a value it repeats by `_clip`, and names the
+    first fault of: not an object, a missing field, extra keys, a field of
+    the wrong type, a non-finite elapsed_ms, a negative one."""
+    if not isinstance(data, dict):
+        raise InvalidReport(f"{_clip(repr(data))} is not of type 'object'")
+    for name in _FIELDS:
+        if name not in data:
+            raise InvalidReport(f"{name!r} is a required property")
+    extra = sorted(data.keys() - _FIELDS.keys(), key=str)
+    if extra:
+        names = _clip(", ".join(map(repr, extra)))
+        verb = "was" if len(extra) == 1 else "were"
+        raise InvalidReport(f"Additional properties are not allowed ({names} {verb} unexpected)")
+    for name, kind in _FIELDS.items():
+        value = data[name]
+        # Draft-7 counts no bool as a number, though Python's bool is an int.
+        if not isinstance(value, _TYPES[kind]) or (kind == "number" and isinstance(value, bool)):
+            raise InvalidReport(f"{_clip(repr(value))} is not of type {kind!r}")
     elapsed = data["elapsed_ms"]
-    # NaN is the one value unequal to itself, and -inf already fails `minimum`;
-    # comparing, unlike math.isfinite, cannot overflow on a huge int.
-    if elapsed != elapsed or elapsed == math.inf:
-        raise jsonschema.ValidationError(f"elapsed_ms {elapsed} is not finite")
+    if not _is_finite(elapsed):
+        raise InvalidReport(f"elapsed_ms {_clip(repr(elapsed))} is not finite")
+    if elapsed < 0:
+        raise InvalidReport(f"{_clip(repr(elapsed))} is less than the minimum of 0")

@@ -742,7 +742,7 @@ class TestValidateReport:
         ids=["extra-name", "long-extra-name", "long-negative-number"],
     )
     def test_schema_message_clips_only_the_repeated_value(self, capsys, monkeypatch, report, message):
-        """jsonschema's wording stays whole; only the outside text it repeats
+        """The checker's wording stays whole; only the outside text it repeats
         is clipped to its start and its length."""
         monkeypatch.setattr("sys.stdin", io.StringIO(report))
         code, out, _ = run(capsys, "validate-report")

@@ -1,6 +1,7 @@
 """Import hygiene: the heavy optional modules, and each of the package's own
 modules, load only on the paths that use them."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import parkfun
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "parkfun"
 
 LAZY = ("jsonschema", "decimal", "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
 
@@ -39,17 +41,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert loaded() == [], ("count --workers 2", loaded())
 
-# A report that conforms is vouched for without jsonschema.
+# A report is accepted, and refused, without jsonschema or decimal.
 parkfun.validate_report({{"command": "x", "inputs": {{}}, "result": {{}}, "elapsed_ms": 1}})
 assert loaded() == [], ("validate a valid report", loaded())
 
 try:
     parkfun.validate_report({{"command": "x"}})
-except Exception as e:
-    import jsonschema
-    assert isinstance(e, jsonschema.ValidationError), type(e)
+except parkfun.InvalidReport:
+    pass
 else:
     raise AssertionError("an invalid report was accepted")
+assert loaded() == [], ("refuse an invalid report", loaded())
 print("ok")
 """
 
@@ -211,7 +213,7 @@ EXPORTS = {
         "friendship_park", "is_available", "is_friendship_pf",
     ],
     "limits": ["BadCapSetting", "SearchCapExceeded", "brute_cap", "ensure_within_cap"],
-    "report": ["RunReport", "report_schema", "validate_report"],
+    "report": ["InvalidReport", "RunReport", "report_schema", "validate_report"],
     "structure": [
         "BlockingSequence", "FibreCharacterisation", "NotHamiltonianPath",
         "blocking_sequence", "enumerate_fibre", "fibre_characterisation", "fibre_size",
@@ -224,7 +226,7 @@ EXPORTS = {
 class TestExports:
     def test_all_is_todays_names(self):
         names = sorted(name for names in EXPORTS.values() for name in names)
-        assert len(names) == 65
+        assert len(names) == 66
         assert sorted(parkfun.__all__) == names
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -252,3 +254,53 @@ class TestExports:
 
         assert isinstance(cli, types.ModuleType) and cli.main
         assert isinstance(verify, types.ModuleType) and verify.run_suite
+
+
+def _imports(path: Path) -> set[str]:
+    """The modules the file at `path` imports, at its top or inside a
+    function; a relative one as `.name`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                names.add(dots + node.module)
+            else:  # from . import name
+                names.update(dots + alias.name for alias in node.names)
+    return names
+
+
+def _reaches(module: str) -> set[str]:
+    """The package's modules that `module` imports, directly or through others."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in _imports(PACKAGE / f"{todo.pop()}.py"):
+            if name.startswith((".", "parkfun.")):
+                name = name.rsplit(".", 1)[-1]
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+    return seen - {module}
+
+
+class TestOracleIndependence:
+    """The availability-rule oracles share no code with the blocker, fibre
+    and closed-form routes they check."""
+
+    def test_friendship_reaches_only_core_and_limits(self):
+        assert _reaches("friendship") <= {"core", "limits"}
+
+    def test_classical_reaches_no_closed_form(self):
+        assert not _reaches("classical") & {"structure", "cycle", "cyclic"}
+
+    def test_perfbench_oracles_import_nothing_from_parkfun(self):
+        names = _imports(SRC.parent / "perfbench" / "oracles.py")
+        assert not {name for name in names if name.split(".")[0] == "parkfun"}
+
+
+def test_no_module_imports_jsonschema():
+    """jsonschema is a test dependency only: the package checks a report itself."""
+    for path in PACKAGE.rglob("*.py"):
+        assert not {name for name in _imports(path) if name.split(".")[0] == "jsonschema"}, path.name
