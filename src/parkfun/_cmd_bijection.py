@@ -8,6 +8,7 @@ import argparse
 from .cli import UsageError, _int_option, _parse_word
 from .core import ParkingPreference, Permutation
 from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
+from .limits import _clip, _clip_word
 from .notation import format_blocks, format_word, format_word_compact
 
 
@@ -57,9 +58,10 @@ def run(args, say) -> tuple[dict, dict, int]:
     blocks = [(b.start, b.end) for b in comps]
     chosen = next((b for b in comps if b.start == args.start), None)
     if chosen is None:
-        starts = ", ".join(str(b.start) for b in comps)
-        say(f"error: no component starts at position {args.start}; components start at {starts}")
-        return inputs, {"error": f"no component starts at position {args.start}"}, 1
+        error = f"no component starts at position {_clip(str(args.start))}"
+        starts = _clip_word([b.start for b in comps], lambda s: ", ".join(map(str, s)))
+        say(f"error: {error}; components start at {starts}")
+        return inputs, {"error": error}, 1
     p, seq = _psi_inverse(chosen)
     say(f"host permutation: {format_blocks(host.word, blocks, mark_start=chosen.start)}")
     say(f"inversion sequence: {format_word(seq.entries)}")

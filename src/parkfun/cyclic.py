@@ -184,7 +184,7 @@ def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
     i = _rotation_start(word)
     if i is None:
         raise NotCyclicPreference(
-            f"outcome {format_word_compact(word)} is not an increasing cycle"
+            f"outcome {_clip_word(word, format_word_compact)} is not an increasing cycle"
         )
     comps = components(perm_from_inv_seq(res.displacement))
     # The components partition 1..n, so exactly one of them holds i.

@@ -3,7 +3,7 @@ limit, with the one reader of outside numbers and the bounded quote."""
 
 import contextlib
 import os
-from typing import Callable
+from typing import Callable, Sequence
 
 CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 
@@ -39,10 +39,10 @@ def _clip(text: str, size: str = "") -> str:
     return f"{text[:_QUOTE_CHARS]}... ({size or f'{len(text)} characters'})"
 
 
-def _clip_word(word: tuple) -> str:
-    """`str(word)` clipped by `_clip` to its start and its number of values;
-    only its first _QUOTE_CHARS values are rendered."""
-    return _clip(str(word[:_QUOTE_CHARS]), f"{len(word)} values")
+def _clip_word(word: Sequence[int], render: Callable[[Sequence[int]], str] = str) -> str:
+    """`render(word)`, by default `str(word)`, clipped by `_clip` to its start
+    and its number of values; only its first _QUOTE_CHARS values are rendered."""
+    return _clip(render(word[:_QUOTE_CHARS]), f"{len(word)} values")
 
 
 def _read_int(text: str, where: str, bad: Callable[[], str], error=ValueError) -> int:

@@ -6,7 +6,7 @@ import json
 import math
 import numbers
 
-from .limits import _clip
+from .limits import _MAX_DIGITS, _clip
 
 
 class RunReport:
@@ -71,14 +71,38 @@ def _is_finite(number) -> bool:
     return number.is_finite()
 
 
+def _digits(number: int) -> int:
+    """How many decimal digits `abs(number)` has, found without printing it."""
+    number = abs(number)
+    # 0.30102999 < log10(2), so this count is never over, and below 10^8
+    # bits at most one short.
+    digits = max(number.bit_length() - 1, 0) * 30102999 // 10 ** 8 + 1
+    while number >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def _shown(value) -> str:
+    """`repr(value)` clipped by `_clip`. An int past the digit limit, which
+    repr refuses, is named by its sign and its number of digits, and a value
+    that holds one by its type."""
+    if isinstance(value, int) and (digits := _digits(value)) > _MAX_DIGITS:
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+    try:
+        text = repr(value)
+    except ValueError:  # CPython's int-to-str limit, met inside `value`
+        return f"a {type(value).__name__} that holds an int past the {_MAX_DIGITS}-digit limit"
+    return _clip(text)
+
+
 def validate_report(data: dict) -> None:
     """Raise InvalidReport unless `data` is a RunReport under the schema,
     with a finite elapsed_ms, which draft-7 cannot require. The message keeps
-    jsonschema's wording, clips a value it repeats by `_clip`, and names the
+    jsonschema's wording, clips a value it repeats by `_shown`, and names the
     first fault of: not an object, a missing field, extra keys, a field of
     the wrong type, a non-finite elapsed_ms, a negative one."""
     if not isinstance(data, dict):
-        raise InvalidReport(f"{_clip(repr(data))} is not of type 'object'")
+        raise InvalidReport(f"{_shown(data)} is not of type 'object'")
     for name in _FIELDS:
         if name not in data:
             raise InvalidReport(f"{name!r} is a required property")
@@ -89,11 +113,12 @@ def validate_report(data: dict) -> None:
         raise InvalidReport(f"Additional properties are not allowed ({names} {verb} unexpected)")
     for name, kind in _FIELDS.items():
         value = data[name]
-        # Draft-7 counts no bool as a number, though Python's bool is an int.
-        if not isinstance(value, _TYPES[kind]) or (kind == "number" and isinstance(value, bool)):
-            raise InvalidReport(f"{_clip(repr(value))} is not of type {kind!r}")
+        # Draft-7 counts no bool as a number, though Python's bool is an int,
+        # and JSON has no complex number.
+        if not isinstance(value, _TYPES[kind]) or (kind == "number" and isinstance(value, (bool, complex))):
+            raise InvalidReport(f"{_shown(value)} is not of type {kind!r}")
     elapsed = data["elapsed_ms"]
     if not _is_finite(elapsed):
-        raise InvalidReport(f"elapsed_ms {_clip(repr(elapsed))} is not finite")
+        raise InvalidReport(f"elapsed_ms {_shown(elapsed)} is not finite")
     if elapsed < 0:
-        raise InvalidReport(f"{_clip(repr(elapsed))} is less than the minimum of 0")
+        raise InvalidReport(f"{_shown(elapsed)} is less than the minimum of 0")

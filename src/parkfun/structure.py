@@ -23,7 +23,7 @@ from .core import (
     inverse_position,
     make_graph,
 )
-from .limits import ensure_within_cap
+from .limits import _clip_word, ensure_within_cap
 
 
 class NotHamiltonianPath(ValueError):
@@ -194,7 +194,7 @@ def fibre_characterisation(perm: Permutation, graph: FriendshipGraph) -> FibreCh
     """
     if not is_hamiltonian_path(perm, graph):
         raise NotHamiltonianPath(
-            f"{perm.word} is not a Hamiltonian path of the graph"
+            f"{_clip_word(perm.word)} is not a Hamiltonian path of the graph"
         )
     word = perm.word
     pg = [-1] * perm.n

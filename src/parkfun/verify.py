@@ -120,7 +120,7 @@ def props_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             # together they cover every passing preference.
             seen: set[tuple[int, ...]] = set()
             for pi in paths:
-                box = {p.entries for p in enumerate_fibre(pi, graph)}
+                box = {p.entries for p in enumerate_fibre(pi, graph, force=True)}
                 if any(words.get(entries) != pi.word for entries in box):
                     partition_bad.append(f"fibre of {pi.word} on {sorted(graph.edges)}")
                 if box & seen:

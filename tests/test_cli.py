@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +12,13 @@ from parkfun import ParkingPreference, cli, core, cycle, cyclic, friendship, str
 from parkfun.cli import main
 from parkfun.report import validate_report
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 # A report whose elapsed time is the JSON text `number`.
 NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
+
+
+def _word(*parts) -> str:
+    """The comma-separated word of the values in `parts`, in order."""
+    return ",".join(str(v) for part in parts for v in part)
 
 
 def run(capsys, *argv):
@@ -274,6 +276,28 @@ class TestHostileSize:
         assert got == code
         assert (out + err).count("\n") == 1
         assert len((out + err).encode()) < 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fibre", "-g", "path:20000", "-o", _word([1, 3, 2], range(4, 20_001)), "--count"],
+            ["bijection", "psi", "-p", _word([2, 1], range(3, 20_001))],
+            ["bijection", "psi-inverse", "--perm", _word(range(1, 6), [7, 6], range(8, 20_001)), "--start", "7"],
+            ["bijection", "psi-inverse", "--perm", "21", "--start", "9" * 4300],
+        ],
+        ids=["not-a-hamiltonian-path", "not-an-increasing-cycle", "no-component-start", "long-start"],
+    )
+    def test_failure_bounds_the_word_it_names(self, capsys, argv):
+        """An exit-1 failure names a long word, or a long list of component
+        starts, by its start and its number of values, and a long `--start`
+        by its start and its length."""
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 1 and len(out.encode()) < 1000
+        # The report's inputs repeat the word by design; its error does not.
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        assert len(report["result"]["error"]) < 1000
 
 
 class TestCount:
@@ -639,7 +663,7 @@ class TestVerify:
 
     def test_hostile_n_refused_before_any_work(self):
         # At n = 2,000,000, building n ** n alone would take many seconds.
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env = dict(os.environ)
         env.pop("PARKFUN_BRUTE_CAP", None)
         errors = {}
         for suite in ("cycle", "bijection", "props"):
@@ -658,7 +682,7 @@ def test_cli_module_run_as_a_script_exits_2_on_a_usage_error():
     not as a traceback."""
     proc = subprocess.run(
         [sys.executable, "-m", "parkfun.cli", "count", "cyclic"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: count cyclic needs -n\n")
 
@@ -671,7 +695,7 @@ def test_closed_stdout_exits_1_without_a_traceback(json_flag):
     reader has gone."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "parkfun", "fibre", "-g", "complete:8", "-o", "12345678", "--list", *json_flag],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
         assert proc.stdout.read(16)
@@ -691,8 +715,7 @@ def test_failed_stdout_write_exits_1_with_one_error_line(json_flag):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "parkfun", "park", "classical", "-p", "1", *json_flag],
-            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=full, stderr=subprocess.PIPE,
-            text=True, timeout=60,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
         )
     assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
@@ -712,8 +735,7 @@ class TestValidateReport:
         report = '{"command": "count", "inputs": {}, "result": {"formula": %s}, "elapsed_ms": 0.5}'
         proc = subprocess.run(
             [sys.executable, "-m", "parkfun", "validate-report"],
-            input=report % ("7" * 2_000_000), env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True, text=True, timeout=10,
+            input=report % ("7" * 2_000_000), capture_output=True, text=True, timeout=10,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 

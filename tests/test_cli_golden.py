@@ -8,6 +8,7 @@ terminal width of 80 columns.
 """
 
 import io
+import math
 import re
 import sys
 from typing import NamedTuple
@@ -260,6 +261,17 @@ GOLDEN = [
             '{"command": "count", "inputs": {"target": "fpf", "graph": "fig4", "n": 8, '
             '"mode": "formula", "list": false, "workers": 1, "force": false}, "result": '
             '{"formula": 20228}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    # The path graph's two Hamiltonian paths have fibres of n! and 1.
+    Case(
+        "count fpf -g path:300",
+        code=0,
+        out=f"formula: {math.factorial(300) + 1}\n",
+        json=(
+            '{"command": "count", "inputs": {"target": "fpf", "graph": "path:300", "n": 300, '
+            '"mode": "formula", "list": false, "workers": 1, "force": false}, "result": '
+            f'{{"formula": {math.factorial(300) + 1}}}, "elapsed_ms": 0}}\n'
         ),
     ),
     Case(

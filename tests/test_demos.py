@@ -1,6 +1,5 @@
 """Every demo script runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +16,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

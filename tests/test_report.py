@@ -160,6 +160,25 @@ def test_message_names_the_fault(doc, message):
 @pytest.mark.parametrize(
     "doc, message",
     [
+        (_report(command=10 ** 5000), "an int of 5001 digits is not of type 'string'"),
+        (_report(inputs=10 ** 5000), "an int of 5001 digits is not of type 'object'"),
+        (_report(elapsed_ms=-10 ** 5000), "a negative int of 5001 digits is less than the minimum of 0"),
+        ([10 ** 5000], "a list that holds an int past the 4300-digit limit is not of type 'object'"),
+        (_report(elapsed_ms=1j), "1j is not of type 'number'"),
+    ],
+    ids=["long-command", "long-inputs", "long-negative-elapsed", "list-of-a-long-int", "complex-elapsed"],
+)
+def test_message_names_what_repr_cannot_print(doc, message):
+    """An int past Python's 4,300-digit int-to-str limit, which repr refuses,
+    is named by its digits, and a complex elapsed_ms is refused as no
+    number. jsonschema raises on each (repr's ValueError, or a TypeError
+    from comparing a complex), so it is no reference here."""
+    assert _refusal(doc) == message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
         (_report(elapsed_ms=MISSING, extra=1), "'elapsed_ms' is a required property"),
         (_report(command=3, extra=1), "Additional properties are not allowed ('extra' was unexpected)"),
         # jsonschema 4.26's best_match names `result` here.

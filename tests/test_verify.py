@@ -335,11 +335,14 @@ def test_run_suite_unknown():
         run_suite("everything")
 
 
-def test_suites_respect_cap(monkeypatch):
+@pytest.mark.parametrize(
+    "suite", [cycle_suite, props_suite, bijection_suite], ids=["cycle", "props", "bijection"]
+)
+def test_suites_respect_cap(monkeypatch, suite):
     monkeypatch.setenv("PARKFUN_BRUTE_CAP", "10")
     with pytest.raises(SearchCapExceeded):
-        cycle_suite([4])
-    assert_all_pass(cycle_suite([4], force=True))
+        suite([4])
+    assert_all_pass(suite([4], force=True))
 
 
 def test_refused_suites_do_no_work_first(monkeypatch):
