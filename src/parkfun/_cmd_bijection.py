@@ -8,7 +8,7 @@ import argparse
 from .cli import UsageError, _int_option, _parse_word
 from .core import ParkingPreference, Permutation
 from .cyclic import NotCyclicPreference, _psi, _psi_inverse, components
-from .limits import _clip, _clip_word
+from .limits import _clip_word, _shown
 from .notation import format_blocks, format_word, format_word_compact
 
 
@@ -58,7 +58,7 @@ def run(args, say) -> tuple[dict, dict, int]:
     blocks = [(b.start, b.end) for b in comps]
     chosen = next((b for b in comps if b.start == args.start), None)
     if chosen is None:
-        error = f"no component starts at position {_clip(str(args.start))}"
+        error = f"no component starts at position {_shown(args.start)}"
         starts = _clip_word([b.start for b in comps], lambda s: ", ".join(map(str, s)))
         say(f"error: {error}; components start at {starts}")
         return inputs, {"error": error}, 1

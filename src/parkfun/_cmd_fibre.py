@@ -8,6 +8,7 @@ import argparse
 from . import structure
 from .cli import UsageError, _graph_spec, _list_preferences, _parse_word
 from .core import Permutation
+from .limits import _shown
 from .notation import format_interval
 
 
@@ -32,7 +33,7 @@ def run(args, say) -> tuple[dict, dict, int]:
         "force": bool(args.force),
     }
     if perm.n != n:
-        raise UsageError(f"outcome has {perm.n} entries but the graph has {n} vertices")
+        raise UsageError(f"outcome has {perm.n} entries but the graph has {_shown(n)} vertices")
     graph = build()
     try:
         if mode == "sets":

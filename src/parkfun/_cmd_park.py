@@ -9,6 +9,7 @@ from .classical import classical_park, total_displacement
 from .cli import UsageError, _graph_spec, _parse_word
 from .core import Failure, ParkingPreference
 from .friendship import friendship_park
+from .limits import _shown
 from .notation import format_word
 
 
@@ -26,7 +27,7 @@ def run(args, say) -> tuple[dict, dict, int]:
             raise UsageError("friendship mode needs a graph (-g)")
         n, build = _graph_spec(args.graph)
         if n != p.n:
-            raise UsageError(f"preference has {p.n} cars but the graph has {n} vertices")
+            raise UsageError(f"preference has {p.n} cars but the graph has {_shown(n)} vertices")
         res = friendship_park(p, build())
     else:
         if args.graph is not None:

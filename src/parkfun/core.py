@@ -10,20 +10,20 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .limits import _clip_word, _quote, _read_int
+from .limits import _clip_word, _quote, _read_int, _shown
 
 
 def _require_ints(values: tuple, what: str) -> None:
     """Reject anything but plain ints; bool and float are not labels."""
     if list(map(type, values)).count(int) != len(values):
         idx, bad = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not int)
-        raise ValueError(f"{what} {bad!r} at position {idx} is not an integer")
+        raise ValueError(f"{what} {_shown(bad)} at position {idx} is not an integer")
 
 
 def _require_label(what: str, v: int, n: int) -> None:
     """Reject a label (value, vertex, spot, start) outside [1, n]."""
     if not 1 <= v <= n:
-        raise ValueError(f"{what} {v} is outside [1, {n}]")
+        raise ValueError(f"{what} {_shown(v)} is outside [1, {_shown(n)}]")
 
 
 class _Value:
@@ -94,7 +94,7 @@ class ParkingPreference(_Word):
         _require_ints(self.entries, "entry")
         for idx, e in enumerate(self.entries, start=1):
             if not 1 <= e <= n:
-                raise ValueError(f"entry {e} at position {idx} is outside [1, {n}]")
+                raise ValueError(f"entry {_shown(e)} at position {idx} is outside [1, {n}]")
 
 
 class Permutation(_Word):
@@ -144,7 +144,7 @@ class FriendshipGraph(_Value):
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         object.__setattr__(self, "n", n)
         if type(self.n) is not int:
-            raise ValueError(f"vertex count {self.n!r} is not an integer")
+            raise ValueError(f"vertex count {_shown(self.n)} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canonical = set()
@@ -152,10 +152,10 @@ class FriendshipGraph(_Value):
             u, v = e
             for w in (u, v):
                 if type(w) is not int:
-                    raise ValueError(f"vertex {w!r} is not an integer")
+                    raise ValueError(f"vertex {_shown(w)} is not an integer")
                 _require_label("vertex", w, self.n)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {_shown(u)}")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
         nbr = [set() for _ in range(self.n + 1)]

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
 from .cycle import _rotation_size, _rotation_sizes, increasing_word
-from .limits import _clip_word
+from .limits import _clip_word, _shown
 from .notation import format_word_compact
 
 
@@ -35,7 +35,7 @@ class InversionSequence(_Word):
         _require_ints(self.entries, "entry")
         for idx, a in enumerate(self.entries, start=1):
             if not 0 <= a < idx:
-                raise ValueError(f"entry {a} at position {idx} must lie in [0, {idx - 1}]")
+                raise ValueError(f"entry {_shown(a)} at position {idx} must lie in [0, {idx - 1}]")
 
 
 class Component(_Value):
@@ -55,7 +55,7 @@ class Component(_Value):
         object.__setattr__(self, "end", end)
         n = self.underlying.n
         if not 1 <= self.start <= self.end <= n:
-            raise ValueError(f"positions {self.start}..{self.end} are outside [1, {n}]")
+            raise ValueError(f"positions {_shown(self.start)}..{_shown(self.end)} are outside [1, {n}]")
         sub = self.underlying.word[self.start - 1 : self.end]
         if sorted(sub) != list(range(self.start, self.end + 1)):
             raise ValueError(

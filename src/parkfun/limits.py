@@ -1,5 +1,6 @@
 """Guard rails for outside input: the cap on sweeps over [n]^n, and the digit
-limit, with the one reader of outside numbers and the bounded quote."""
+limit, with the one reader of outside numbers and the one renderer of the
+values a message repeats, each to a bound."""
 
 import contextlib
 import os
@@ -43,6 +44,30 @@ def _clip_word(word: Sequence[int], render: Callable[[Sequence[int]], str] = str
     """`render(word)`, by default `str(word)`, clipped by `_clip` to its start
     and its number of values; only its first _QUOTE_CHARS values are rendered."""
     return _clip(render(word[:_QUOTE_CHARS]), f"{len(word)} values")
+
+
+def _digits(number: int) -> int:
+    """How many decimal digits `abs(number)` has, found without printing it."""
+    number = abs(number)
+    # 0.30102999 < log10(2), so this count is never over, and below 10^8
+    # bits at most one short.
+    digits = max(number.bit_length() - 1, 0) * 30102999 // 10 ** 8 + 1
+    while number >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def _shown(value) -> str:
+    """A value as a message repeats it: `repr(value)` clipped by `_clip`. An
+    int past the digit limit, which repr refuses, is named by its sign and
+    its number of digits, and a value that holds one by its type."""
+    if isinstance(value, int) and (digits := _digits(value)) > _MAX_DIGITS:
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+    try:
+        text = repr(value)
+    except ValueError:  # CPython's int-to-str limit, met inside `value`
+        return f"a {type(value).__name__} that holds an int past the {_MAX_DIGITS}-digit limit"
+    return _clip(text)
 
 
 def _read_int(text: str, where: str, bad: Callable[[], str], error=ValueError) -> int:
@@ -98,7 +123,7 @@ def brute_cap() -> int:
         raw, CAP_ENV_VAR, lambda: f"{CAP_ENV_VAR} must be an integer, got {_quote(raw)}", BadCapSetting
     )
     if cap <= 0:
-        raise BadCapSetting(f"{CAP_ENV_VAR} must be positive, got {cap}")
+        raise BadCapSetting(f"{CAP_ENV_VAR} must be positive, got {_shown(cap)}")
     return cap
 
 

@@ -6,7 +6,7 @@ import json
 import math
 import numbers
 
-from .limits import _MAX_DIGITS, _clip
+from .limits import _clip, _shown
 
 
 class RunReport:
@@ -22,12 +22,7 @@ class RunReport:
         return NotImplemented
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {name: getattr(self, name) for name in _FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), allow_nan=False)
@@ -35,12 +30,7 @@ class RunReport:
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
         validate_report(data)
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            result=data["result"],
-            elapsed_ms=data["elapsed_ms"],
-        )
+        return cls(**{name: data[name] for name in _FIELDS})
 
 
 def report_schema() -> dict:
@@ -71,44 +61,23 @@ def _is_finite(number) -> bool:
     return number.is_finite()
 
 
-def _digits(number: int) -> int:
-    """How many decimal digits `abs(number)` has, found without printing it."""
-    number = abs(number)
-    # 0.30102999 < log10(2), so this count is never over, and below 10^8
-    # bits at most one short.
-    digits = max(number.bit_length() - 1, 0) * 30102999 // 10 ** 8 + 1
-    while number >= 10 ** digits:
-        digits += 1
-    return digits
-
-
-def _shown(value) -> str:
-    """`repr(value)` clipped by `_clip`. An int past the digit limit, which
-    repr refuses, is named by its sign and its number of digits, and a value
-    that holds one by its type."""
-    if isinstance(value, int) and (digits := _digits(value)) > _MAX_DIGITS:
-        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
-    try:
-        text = repr(value)
-    except ValueError:  # CPython's int-to-str limit, met inside `value`
-        return f"a {type(value).__name__} that holds an int past the {_MAX_DIGITS}-digit limit"
-    return _clip(text)
-
-
 def validate_report(data: dict) -> None:
     """Raise InvalidReport unless `data` is a RunReport under the schema,
     with a finite elapsed_ms, which draft-7 cannot require. The message keeps
-    jsonschema's wording, clips a value it repeats by `_shown`, and names the
-    first fault of: not an object, a missing field, extra keys, a field of
-    the wrong type, a non-finite elapsed_ms, a negative one."""
+    jsonschema's wording, shows a value it repeats by `limits._shown`, and
+    names the first fault of: not an object, a missing field, extra keys, a
+    field of the wrong type, a non-finite elapsed_ms, a negative one."""
     if not isinstance(data, dict):
         raise InvalidReport(f"{_shown(data)} is not of type 'object'")
     for name in _FIELDS:
         if name not in data:
             raise InvalidReport(f"{name!r} is a required property")
-    extra = sorted(data.keys() - _FIELDS.keys(), key=str)
+    # jsonschema's order and reprs, clipped as one list; a key that is not a
+    # string, which no JSON text holds, is shown by `_shown` in both, as str
+    # and repr refuse an int past the digit limit.
+    extra = sorted(data.keys() - _FIELDS.keys(), key=lambda key: key if isinstance(key, str) else _shown(key))
     if extra:
-        names = _clip(", ".join(map(repr, extra)))
+        names = _clip(", ".join(repr(key) if isinstance(key, str) else _shown(key) for key in extra))
         verb = "was" if len(extra) == 1 else "were"
         raise InvalidReport(f"Additional properties are not allowed ({names} {verb} unexpected)")
     for name, kind in _FIELDS.items():

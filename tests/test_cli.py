@@ -255,22 +255,41 @@ class TestHostileSize:
         assert f"{length} characters" in err
 
     @pytest.mark.parametrize(
-        "argv, stdin, code",
+        "argv, stdin, code, text, cap",
         [
-            (["bijection", "psi-inverse", "--perm", ",".join(["1"] * 50_000), "--start", "1"], "", 2),
-            (["verify", "cycle", "--n", "0" * 4000 + "1.." + "0" * 4000 + "2"], "", 2),
-            (["validate-report"], NUMBER_REPORT % ("1" * 100_000 + "e999"), 1),
-            (["validate-report"], NUMBER_REPORT % ("-" + "7" * 2_000_000), 1),
+            (["bijection", "psi-inverse", "--perm", ",".join(["1"] * 50_000), "--start", "1"], "", 2, None, None),
+            (["verify", "cycle", "--n", "0" * 4000 + "1.." + "0" * 4000 + "2"], "", 2, None, None),
+            (["validate-report"], NUMBER_REPORT % ("1" * 100_000 + "e999"), 1, None, None),
+            (["validate-report"], NUMBER_REPORT % ("-" + "7" * 2_000_000), 1, None, None),
+            # A number of 4,300 digits, which the digit limit lets through,
+            # repeated by a refusal; each is refused before a graph is built.
+            (["park", "classical", "-p", "1," + "9" * 4300], "", 2, None, None),
+            (["park", "friendship", "-p", "1,1,1", "-g", "FILE"], "", 2, "n 3\n1 " + "9" * 4300, None),
+            (["park", "friendship", "-p", "1,1,1", "-g", "FILE"], "", 2, "n " + "9" * 4300, None),
+            (["fibre", "-g", "cycle:" + "9" * 4300, "-o", "123"], "", 2, None, None),
+            (["count", "fpf", "-g", "FILE"], "", 2, "n {0}\n{0} {0}".format("9" * 4300), None),
+            (["count", "fpf", "-g", "cycle:4", "--brute"], "", 2, None, "-" + "9" * 4299),
         ],
-        ids=["refused-word", "verify-leading-zeros", "report-number-literal", "report-schema-message"],
+        ids=[
+            "refused-word", "verify-leading-zeros", "report-number-literal", "report-schema-message",
+            "long-entry", "long-edge-vertex", "long-header-count", "long-cycle-size", "long-self-loop",
+            "negative-long-cap",
+        ],
     )
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_refusal_bounds_words_ranges_and_report_messages(
-        self, capsys, monkeypatch, argv, stdin, code, json_flag
+        self, capsys, monkeypatch, tmp_path, argv, stdin, code, text, cap, json_flag
     ):
         """A refused word is named by its start and its number of values, an
-        empty `--n` range by the numbers it holds, and a report's error by its
-        start and its length: none repeats its input in full."""
+        empty `--n` range by the numbers it holds, a report's error and a
+        number a refusal repeats by its start and its length: none repeats its
+        input in full."""
+        if text is not None:
+            path = tmp_path / "long.graph"
+            path.write_text(text + "\n")
+            argv = [f"file:{path}" if a == "FILE" else a for a in argv]
+        if cap is not None:
+            monkeypatch.setenv("PARKFUN_BRUTE_CAP", cap)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         got, out, err = run(capsys, *argv, *json_flag)
         assert got == code

@@ -393,3 +393,29 @@ def test_library_refusal_message(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# Refusals that repeat a value of any size, with how each names it.
+LONG_VALUES = {
+    "long entry": (lambda: ParkingPreference((1, 10 ** 4000)), "entry 1000"),
+    "entry past the digit limit": (lambda: ParkingPreference((1, 10 ** 5000)), "entry an int of 5001 digits"),
+    "long inversion entry": (lambda: InversionSequence((10 ** 4000,)), "entry 1000"),
+    "long vertex count": (lambda: FriendshipGraph("x" * 100_000, []), "vertex count 'xxx"),
+    "long vertex": (lambda: FriendshipGraph(3, [(1, 10 ** 4000)]), "vertex 1000"),
+    "long non-int vertex": (lambda: FriendshipGraph(3, [(1, "x" * 100_000)]), "vertex 'xxx"),
+    "long neighbor": (lambda: graph_generator("cycle", 3).neighbors(10 ** 4000), "vertex 1000"),
+    "long car": (lambda: LotState((10 ** 4000, None)), "car 1000"),
+    "long component": (lambda: Component(Permutation((1,)), 10 ** 4000, 10 ** 4000), "positions 1000"),
+}
+
+
+@pytest.mark.parametrize("build, start", LONG_VALUES.values(), ids=list(LONG_VALUES))
+def test_library_refusal_repeats_a_value_to_a_bound(build, start):
+    """A refusal names a long value by its start and its length, and an int
+    past the 4,300-digit limit by its digits, where repr raises CPython's own
+    ValueError."""
+    with pytest.raises(ValueError) as info:
+        build()
+    message = str(info.value)
+    assert message.startswith(start)
+    assert "Exceeds the limit" not in message and len(message) < 1000

@@ -165,8 +165,12 @@ def test_message_names_the_fault(doc, message):
         (_report(elapsed_ms=-10 ** 5000), "a negative int of 5001 digits is less than the minimum of 0"),
         ([10 ** 5000], "a list that holds an int past the 4300-digit limit is not of type 'object'"),
         (_report(elapsed_ms=1j), "1j is not of type 'number'"),
+        ({**_report(), 10 ** 5000: 1}, "Additional properties are not allowed (an int of 5001 digits was unexpected)"),
     ],
-    ids=["long-command", "long-inputs", "long-negative-elapsed", "list-of-a-long-int", "complex-elapsed"],
+    ids=[
+        "long-command", "long-inputs", "long-negative-elapsed", "list-of-a-long-int", "complex-elapsed",
+        "long-extra-key",
+    ],
 )
 def test_message_names_what_repr_cannot_print(doc, message):
     """An int past Python's 4,300-digit int-to-str limit, which repr refuses,
