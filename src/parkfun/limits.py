@@ -11,10 +11,6 @@ CAP_ENV_VAR = "PARKFUN_BRUTE_CAP"
 # All of [8]^8; keeps un-forced sweeps under a minute on ordinary hardware.
 DEFAULT_CAP = 8 ** 8
 
-# n ** n is built exactly only up to about this many bits (n up to about
-# 9,000, a millisecond); past it n alone settles a refusal.
-_EXACT_BITS = 1 << 17
-
 # Python's default limit on int <-> str conversion. The CLI lifts it so that
 # totals past it print, but a number read from outside is held to it: int()
 # takes time quadratic in the length of its text.
@@ -40,10 +36,13 @@ def _clip(text: str, size: str = "") -> str:
     return f"{text[:_QUOTE_CHARS]}... ({size or f'{len(text)} characters'})"
 
 
-def _clip_word(word: Sequence[int], render: Callable[[Sequence[int]], str] = str) -> str:
-    """`render(word)`, by default `str(word)`, clipped by `_clip` to its start
-    and its number of values; only its first _QUOTE_CHARS values are rendered."""
-    return _clip(render(word[:_QUOTE_CHARS]), f"{len(word)} values")
+def _clip_word(word: Sequence[int], render: Callable[[Sequence[int]], str] | None = None) -> str:
+    """`render(word)`, by default `str(tuple(word))` with each value shown by
+    `_shown`, clipped by `_clip` to its start and its number of values; only
+    its first _QUOTE_CHARS values are rendered."""
+    head = word[:_QUOTE_CHARS]
+    text = render(head) if render else f"({', '.join(map(_shown, head))}{',' * (len(head) == 1)})"
+    return _clip(text, f"{len(word)} values")
 
 
 def _digits(number: int) -> int:
@@ -89,9 +88,9 @@ class BadCapSetting(ValueError):
 
 
 def _size_text(size: int) -> str:
-    """`size` in decimal or, past about 4,200 digits (Python refuses to print
-    an int over 4,300 digits by default), as a power of ten it exceeds."""
-    if size.bit_length() <= 14_000:
+    """`size` in decimal or, past _QUOTE_CHARS digits, as a power of ten it
+    exceeds."""
+    if size < 10 ** _QUOTE_CHARS:
         return str(size)
     # 0.30102999 < log10(2), so this power of ten is always below `size`.
     return f"more than 10^{(size.bit_length() - 1) * 30102999 // 10 ** 8}"
@@ -137,15 +136,9 @@ def ensure_within_cap(size: int, force: bool = False) -> None:
 
 
 def ensure_sweep_within_cap(n: int, force: bool = False, sweeps: int = 1) -> None:
-    """`ensure_within_cap(sweeps * n ** n, force)`, without building n ** n
-    when n alone puts it past the cap: for n in the millions that takes
-    seconds."""
-    if force:
-        return
-    cap = brute_cap()
-    bound_bits = max(_EXACT_BITS, cap.bit_length())
-    if n * (n.bit_length() - 1) > bound_bits:
-        # n ** n >= 2 ** (n * floor(log2 n)) > 2 ** bound_bits > cap; the
-        # refusal names that lower bound, printed as a power of ten.
-        raise SearchCapExceeded(1 << bound_bits, cap)
-    ensure_within_cap(sweeps * n ** n)
+    """`ensure_within_cap(sweeps * n ** n, force)`. For n in the millions n ** n
+    takes seconds to build, so once its lower bound 2 ** (n * floor(log2 n))
+    passes 2 ** (4 * _MAX_DIGITS), above every cap of _MAX_DIGITS digits, that
+    power of two stands in for it."""
+    bits = 4 * _MAX_DIGITS
+    ensure_within_cap(sweeps * n ** n if n * (n.bit_length() - 1) <= bits else 1 << bits, force)

@@ -269,11 +269,16 @@ class TestHostileSize:
             (["fibre", "-g", "cycle:" + "9" * 4300, "-o", "123"], "", 2, None, None),
             (["count", "fpf", "-g", "FILE"], "", 2, "n {0}\n{0} {0}".format("9" * 4300), None),
             (["count", "fpf", "-g", "cycle:4", "--brute"], "", 2, None, "-" + "9" * 4299),
+            # A search space or cap past 40 digits, named by a power of ten.
+            (["count", "fpf", "-g", "complete:1300", "--brute"], "", 2, None, None),
+            (["count", "fpf", "-g", "cycle:1300", "--both"], "", 2, None, None),
+            (["verify", "cycle", "--n", "1300"], "", 2, None, None),
+            (["count", "fpf", "-g", "complete:2000", "--brute"], "", 2, None, "9" * 4000),
         ],
         ids=[
             "refused-word", "verify-leading-zeros", "report-number-literal", "report-schema-message",
             "long-entry", "long-edge-vertex", "long-header-count", "long-cycle-size", "long-self-loop",
-            "negative-long-cap",
+            "negative-long-cap", "long-sweep-size", "long-both-size", "long-verify-size", "long-cap",
         ],
     )
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -282,8 +287,9 @@ class TestHostileSize:
     ):
         """A refused word is named by its start and its number of values, an
         empty `--n` range by the numbers it holds, a report's error and a
-        number a refusal repeats by its start and its length: none repeats its
-        input in full."""
+        number a refusal repeats by its start and its length, and a search
+        space or cap past 40 digits by a power of ten: none repeats its input
+        or its size in full."""
         if text is not None:
             path = tmp_path / "long.graph"
             path.write_text(text + "\n")

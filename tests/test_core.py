@@ -385,6 +385,12 @@ REFUSALS = {
         lambda: fibre_characterisation(Permutation((1, 2)), graph_generator("cycle", 4)),
         "(1, 2) is not a Hamiltonian path of the graph",
     ),
+    "repeated value": (lambda: Permutation((1, 1, 2)), "(1, 1, 2) is not a permutation of [1, 3]"),
+    "one value": (lambda: Permutation((2,)), "(2,) is not a permutation of [1, 1]"),
+    "fifty values": (
+        lambda: Permutation((1,) * 50),
+        "(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (50 values) is not a permutation of [1, 50]",
+    ),
 }
 
 
@@ -406,6 +412,10 @@ LONG_VALUES = {
     "long neighbor": (lambda: graph_generator("cycle", 3).neighbors(10 ** 4000), "vertex 1000"),
     "long car": (lambda: LotState((10 ** 4000, None)), "car 1000"),
     "long component": (lambda: Component(Permutation((1,)), 10 ** 4000, 10 ** 4000), "positions 1000"),
+    "permutation value past the digit limit": (
+        lambda: Permutation((10 ** 5000,)),
+        "(an int of 5001 digits,) is not a permutation of [1, 1]",
+    ),
 }
 
 

@@ -164,10 +164,26 @@ class TestEnumerateFpf:
         # 2,000,000^2,000,000 takes seconds to build; n alone puts it past the cap.
         with pytest.raises(SearchCapExceeded, match=r"search space of more than 10\^\d+ pref"):
             ensure_sweep_within_cap(NoPower(2_000_000))
+        # n ** n is built only while n * floor(log2 n) <= 17,200; n = 1721 is past it.
+        with pytest.raises(SearchCapExceeded, match=r"search space of more than 10\^5177 pref"):
+            ensure_sweep_within_cap(NoPower(1721))
         # Below the digit threshold the refusal still names the size in decimal.
         with pytest.raises(SearchCapExceeded, match="search space of 387420489 preferences"):
             ensure_sweep_within_cap(9)
         ensure_sweep_within_cap(8)
+        # The stand-in for n ** n is above the largest cap the digit limit
+        # admits, 4,300 nines, and named apart from it.
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "9" * 4300)
+        with pytest.raises(SearchCapExceeded) as info:
+            ensure_sweep_within_cap(NoPower(2000))
+        assert str(info.value).startswith(
+            "search space of more than 10^5177 preferences exceeds the cap of more than 10^4299;"
+        )
+        ensure_sweep_within_cap(1000)  # 10^3000 preferences, under that cap
+        # A malformed cap is reported whatever the size.
+        monkeypatch.setenv("PARKFUN_BRUTE_CAP", "abc")
+        with pytest.raises(BadCapSetting):
+            ensure_sweep_within_cap(NoPower(2_000_000))
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
     def test_bad_cap_setting_is_a_value_error(self, monkeypatch, raw):

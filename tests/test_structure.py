@@ -271,6 +271,17 @@ class TestEnumerateFibre:
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", "8")
         assert len(list(enumerate_fibre(pi, c4))) == 8
 
+    def test_cap_refusal_names_a_long_size_by_a_power_of_ten(self, monkeypatch):
+        # The identity's fibre on P_1300, as on K_1300, holds 1300! (3,486
+        # digits) preferences; the path graph is the cheaper one to build.
+        monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+        with pytest.raises(SearchCapExceeded) as info:
+            next(enumerate_fibre(identity_permutation(1300), graph_generator("path", 1300)))
+        assert str(info.value) == (
+            "search space of more than 10^3485 preferences exceeds the cap of 16777216; "
+            "force the run or raise PARKFUN_BRUTE_CAP"
+        )
+
 
 class TestTotalCount:
     def test_star_has_none(self):

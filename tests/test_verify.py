@@ -351,9 +351,9 @@ def test_refused_suites_do_no_work_first(monkeypatch):
 
     monkeypatch.setattr(verify, "hamiltonian_paths", boom)
     monkeypatch.setattr(verify, "_graph_corpus", boom)
-    with pytest.raises(SearchCapExceeded, match=f"of {900 ** 900} preferences"):
+    with pytest.raises(SearchCapExceeded, match=r"of more than 10\^2658 preferences"):
         cycle_suite([900])
-    with pytest.raises(SearchCapExceeded, match=f"of {19 * 600 ** 600} preferences"):
+    with pytest.raises(SearchCapExceeded, match=r"of more than 10\^1668 preferences"):
         props_suite([600])
     monkeypatch.setenv("PARKFUN_BRUTE_CAP", "10")
     with pytest.raises(SearchCapExceeded, match=f"of {64 * 4 ** 4} preferences"):
