@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from .cli import UsageError, _graph_spec, _int_option, _list_preferences
-from .core import FriendshipGraph, graph_generator
+from .core import FriendshipGraph
 from .limits import ensure_sweep_within_cap
 
 
@@ -31,10 +31,11 @@ def _formula(target: str, space: FriendshipGraph | int) -> int:
         from .cyclic import cyclic_total_count
 
         return cyclic_total_count(space)
-    if space.n >= 3 and space == graph_generator("cycle", space.n):
+    n, neighbors = space.n, space._neighbors
+    if n >= 3 and all(neighbors[v] == {v % n + 1, (v - 2) % n + 1} for v in range(1, n + 1)):
         from .cycle import cycle_total_count
 
-        return cycle_total_count(space.n)
+        return cycle_total_count(n)
     from .structure import total_fpf_count
 
     return total_fpf_count(space)

@@ -214,8 +214,7 @@ def graph_generator(family: str, size: int) -> FriendshipGraph:
     if family == "cycle":
         if size < 3:
             raise ValueError("cycle graphs need at least 3 vertices")
-        edges = [(i, i + 1) for i in range(1, size)] + [(size, 1)]
-        return make_graph(size, edges)
+        return make_graph(size, ((i, i % size + 1) for i in range(1, size + 1)))
     if family == "complete":
         if size < 1:
             raise ValueError("complete graphs need at least 1 vertex")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -439,6 +440,81 @@ class TestCount:
         code, by_file, _ = run(capsys, "count", "fpf", "-g", f"file:{path}")
         assert code == 0
         assert by_file == by_spec == f"formula: {cycle.cycle_total_count(n)}\n"
+
+    @pytest.mark.parametrize(
+        "graph, closed_form",
+        [
+            ("complete:3", "cycle"),  # K_3 is C_3
+            ("n 4\n1 3\n3 2\n2 4\n4 1\n", "paths"),  # a 4-cycle, but not in labelled order
+        ],
+    )
+    def test_formula_route(self, capsys, tmp_path, monkeypatch, graph, closed_form):
+        if graph.startswith("n "):
+            path = tmp_path / "relabelled.graph"
+            path.write_text(graph)
+            graph = f"file:{path}"
+
+        def other_route(*args):
+            raise AssertionError(f"{graph} takes the {closed_form} closed form")
+
+        skipped = (structure, "total_fpf_count") if closed_form == "cycle" else (cycle, "cycle_total_count")
+        monkeypatch.setattr(*skipped, other_route)
+        code, out, _ = run(capsys, "count", "fpf", "-g", graph, "--both")
+        assert code == 0
+        assert "match: yes" in out
+
+    @pytest.mark.parametrize("graph", ["cycle:6", "path:6", "complete:5", "file"])
+    def test_formula_builds_one_graph(self, capsys, tmp_path, monkeypatch, graph):
+        if graph == "file":
+            path = tmp_path / "cycle.graph"
+            path.write_text("n 4\n1 2\n2 3\n3 4\n4 1\n")
+            graph = f"file:{path}"
+        built = []
+
+        def counting_make_graph(n, edges):
+            built.append(n)
+            return core.FriendshipGraph(n, edges)
+
+        monkeypatch.setattr(core, "make_graph", counting_make_graph)
+        code, _, _ = run(capsys, "count", "fpf", "-g", graph, "--formula")
+        assert code == 0
+        assert len(built) == 1
+
+    def test_cycle_formula_holds_one_graph(self, capsys, monkeypatch):
+        # The build's own transient sets take the peak to about 1.8 graphs; a
+        # second C_n built to compare with took it to about 2.9.
+        monkeypatch.setattr(cycle, "cycle_total_count", lambda n: 0)
+        n = 20_000
+        assert run(capsys, "count", "fpf", "-g", "cycle:3") == (0, "formula: 0\n", "")  # imports done
+        tracemalloc.start()
+        try:
+            graph = core.graph_generator("cycle", n)
+            one_graph = tracemalloc.get_traced_memory()[0]
+            del graph
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, out, _ = run(capsys, "count", "fpf", "-g", f"cycle:{n}")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "formula: 0\n")
+        assert peak < 2.3 * one_graph
+
+    def test_cycle_recognizer_matches_graph_comparison(self, monkeypatch):
+        # The reference is the rule the recognizer replaced: compare with a
+        # second, generated C_n.
+        from parkfun._cmd_count import _formula
+
+        monkeypatch.setattr(cycle, "cycle_total_count", lambda n: "cycle")
+        monkeypatch.setattr(structure, "total_fpf_count", lambda graph: "paths")
+        graphs = cycles = 0
+        for n in range(1, 6):
+            for graph in core.all_labelled_graphs(n):
+                is_cycle = n >= 3 and graph == core.graph_generator("cycle", n)
+                assert (_formula("fpf", graph) == "cycle") == is_cycle, graph
+                graphs += 1
+                cycles += is_cycle
+        assert (graphs, cycles) == (1099, 3)
 
     def test_cyclic_list_honours_workers(self, capsys):
         code, report = run_json(capsys, "count", "cyclic", "-n", "3", "--brute", "--list", "--workers", "2")
