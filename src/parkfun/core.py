@@ -75,6 +75,18 @@ class _Word(_Value):
     def __iter__(self) -> Iterator[int]:
         return iter(getattr(self, self._fields[0]))
 
+    @classmethod
+    def _unchecked(cls, word: tuple):
+        """The value holding `word`, built without `__init__`'s checks.
+
+        Only for a tuple that is a valid word by construction: the items of
+        the listings, which the library builds in range itself. Every public
+        constructor, copy and unpickle still checks its word.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, cls._fields[0], word)
+        return self
+
 
 class ParkingPreference(_Word):
     """A vector of preferred spots, one entry per car, each in [1, n].

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
 from .cycle import _rotation_size, _rotation_sizes, increasing_word
-from .limits import _clip_word, _shown
+from .limits import _clip_word, _shown, ensure_sweep_within_cap
 from .notation import format_word_compact
 
 
@@ -226,24 +226,34 @@ def psi_inverse(c: Component) -> ParkingPreference:
 
 
 def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:
-    """Entries of every cyclic preference of length n, lexicographically."""
+    """Entries of every cyclic preference of length n, lexicographically.
+
+    The cap is read before the friend sets and the n increasing rotations
+    are built, so a refused n builds neither.
+    """
     from .classical import _all_friends
     from .friendship import _sweep
 
     if n < 1:
         raise ValueError("need n >= 1")
-    for entries, word in _sweep(n, _all_friends(n), force):
-        if _rotation_start(word) is not None:
+    ensure_sweep_within_cap(n, force)
+    rotations = {increasing_word(i, n) for i in range(1, n + 1)}
+    for entries, word in _sweep(n, _all_friends(n), force=True):
+        if word in rotations:
             yield entries
 
 
 def enumerate_cyclic_pf(n: int, *, force: bool = False) -> Iterator[ParkingPreference]:
     """All cyclic parking functions of length n, lexicographically.
 
-    Exhaustive sweep over [n]^n, subject to the brute-force cap.
+    Exhaustive sweep over [n]^n, subject to the brute-force cap. Every swept
+    word is in [n]^n, so the items skip the constructor's checks.
+
+    >>> [p.entries for p in enumerate_cyclic_pf(2)]
+    [(1, 1), (1, 2), (2, 1)]
     """
     for entries in _cyclic_sweep(n, force):
-        yield ParkingPreference(entries)
+        yield ParkingPreference._unchecked(entries)
 
 
 def count_cyclic_brute(n: int, *, force: bool = False) -> int:

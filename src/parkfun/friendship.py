@@ -89,18 +89,22 @@ def _run(entries: Sequence[int], n: int, neighbor_sets) -> tuple[int, ...] | int
     `neighbor_sets[car]` is the friend set of `car`. Returns the outcome word
     read off the lot (the car in each spot) or, when a car cannot park, that
     car's label. The availability test is inlined in the scan on purpose:
-    this loop is the hot path of every sweep.
+    this loop is the hot path of every sweep. `entries` must hold exactly
+    n preferences; they are read in car order.
     """
     occ = [0] * (n + 2)
-    for car in range(1, n + 1):
+    car = 0
+    for k in entries:
+        car += 1
         friends = neighbor_sets[car]
-        k = entries[car - 1]
         while k <= n:
             if not occ[k]:
-                left, right = occ[k - 1], occ[k + 1]
-                if (not left or left in friends) and (not right or right in friends):
-                    occ[k] = car
-                    break
+                left = occ[k - 1]
+                if not left or left in friends:
+                    right = occ[k + 1]
+                    if not right or right in friends:
+                        occ[k] = car
+                        break
             k += 1
         else:
             return car
@@ -149,10 +153,14 @@ def enumerate_fpf(graph: FriendshipGraph, *, force: bool = False) -> Iterator[Pa
     """All friendship parking functions for `graph`, lexicographically.
 
     Brute-force sweep over [n]^n, refused above the configured cap unless
-    `force` is set.
+    `force` is set. Every swept word is in [n]^n, so the items skip the
+    constructor's checks.
+
+    >>> [p.entries for p in enumerate_fpf(FriendshipGraph(3, [(1, 2), (2, 3)]))]
+    [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3), (3, 2, 1)]
     """
     for entries, _ in _sweep(graph.n, graph._neighbors, force):
-        yield ParkingPreference(entries)
+        yield ParkingPreference._unchecked(entries)
 
 
 def count_fpf_brute(graph: FriendshipGraph, *, force: bool = False) -> int:

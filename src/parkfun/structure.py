@@ -113,9 +113,10 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def hamiltonian_paths(graph: FriendshipGraph) -> Iterator[Permutation]:
     """Every Hamiltonian path of the graph, in lexicographic word order;
-    for the single-vertex graph the trivial path is yielded."""
+    for the single-vertex graph the trivial path is yielded. A path visits
+    each vertex once, so its word is a permutation and skips the checks."""
     for word, _ in _leaves(graph):
-        yield Permutation(word)
+        yield Permutation._unchecked(word)
 
 
 def has_hamiltonian_path(graph: FriendshipGraph) -> bool:
@@ -216,13 +217,14 @@ def enumerate_fibre(
     """All preferences with `perm` as friendship outcome, lexicographically.
 
     The fibre is a box, refused above the configured cap (checked on its
-    exact size, before anything is yielded) unless `force` is set.
+    exact size, before anything is yielded) unless `force` is set. Its
+    intervals lie in [1, n], so the items skip the constructor's checks.
     """
     chi = fibre_characterisation(perm, graph)
     ranges = [range(lo, hi + 1) for lo, hi in chi.spot_sets]
     ensure_within_cap(prod(map(len, ranges)), force)
     for entries in itertools.product(*ranges):
-        yield ParkingPreference(entries)
+        yield ParkingPreference._unchecked(entries)
 
 
 def total_fpf_count(graph: FriendshipGraph) -> int:

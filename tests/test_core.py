@@ -23,7 +23,11 @@ from parkfun import (
     cyclic_outcomes,
     cyclic_total_count,
     decreasing_word,
+    enumerate_cyclic_pf,
+    enumerate_fibre,
+    enumerate_fpf,
     graph_generator,
+    hamiltonian_paths,
     identity_permutation,
     increasing_word,
     inverse_position,
@@ -278,6 +282,68 @@ def test_graph_copies_rebuild_the_neighbour_sets():
         assert twin == graph and twin.neighbors(1) == frozenset({2, 4})
 
 
+def _listed_items(n):
+    """Every item the graph listings build unchecked, over every labelled
+    graph on n vertices: each friendship parking function, each Hamiltonian
+    path and each preference in that path's fibre box."""
+    for graph in all_labelled_graphs(n):
+        yield from enumerate_fpf(graph)
+        for pi in hamiltonian_paths(graph):
+            yield pi
+            yield from enumerate_fibre(pi, graph)
+
+
+LISTINGS = [("graphs", n) for n in range(1, 5)] + [("cyclic", n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("listing, n", LISTINGS, ids=[f"{name} n={n}" for name, n in LISTINGS])
+def test_listed_items_equal_their_checked_construction(listing, n):
+    """The listings skip the constructor's checks; each item is still the
+    value the checked constructor builds from its word."""
+    count = 0
+    for item in _listed_items(n) if listing == "graphs" else enumerate_cyclic_pf(n):
+        word = getattr(item, type(item)._fields[0])
+        checked = type(item)(word)
+        assert type(word) is tuple and checked == item and hash(checked) == hash(item)
+        count += 1
+    assert count
+
+
+def test_copies_of_a_listed_item_run_the_constructor(monkeypatch):
+    built = []
+    real = ParkingPreference.__init__
+
+    def counting(self, entries):
+        built.append(entries)
+        real(self, entries)
+
+    monkeypatch.setattr(ParkingPreference, "__init__", counting)
+    item = next(enumerate_fpf(graph_generator("cycle", 3)))
+    assert built == []
+    for twin in (copy.copy(item), copy.deepcopy(item), pickle.loads(pickle.dumps(item))):
+        assert type(twin) is ParkingPreference and twin == item
+    assert built == [(1, 1, 1)] * 3
+
+
+@pytest.mark.parametrize(
+    "twin", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (ParkingPreference._unchecked((0, 1)), "entry 0 at position 1 is outside [1, 2]"),
+        (Permutation._unchecked((1, 1)), "(1, 1) is not a permutation of [1, 2]"),
+    ],
+    ids=["preference", "permutation"],
+)
+def test_a_copy_checks_its_word(twin, value, message):
+    """A word built unchecked is checked again by every copy: one out of
+    range, which no listing builds, is refused as the constructor refuses it."""
+    with pytest.raises(ValueError) as info:
+        twin(value)
+    assert str(info.value) == message
+
+
 # Every public entry point that checks a label (a value, vertex, spot or
 # start) against [1, n], with the word its message uses for the label.
 N = 4
@@ -385,6 +451,11 @@ REFUSALS = {
         lambda: fibre_characterisation(Permutation((1, 2)), graph_generator("cycle", 4)),
         "(1, 2) is not a Hamiltonian path of the graph",
     ),
+    "empty preference": (lambda: ParkingPreference(()), "preference must have at least one entry"),
+    "entry below 1": (lambda: ParkingPreference((0, 1)), "entry 0 at position 1 is outside [1, 2]"),
+    "entry past n": (lambda: ParkingPreference((1, 3)), "entry 3 at position 2 is outside [1, 2]"),
+    "float entry": (lambda: ParkingPreference((1, 2.0)), "entry 2.0 at position 2 is not an integer"),
+    "bool value": (lambda: Permutation((True,)), "value True at position 1 is not an integer"),
     "repeated value": (lambda: Permutation((1, 1, 2)), "(1, 1, 2) is not a permutation of [1, 3]"),
     "one value": (lambda: Permutation((2,)), "(2,) is not a permutation of [1, 1]"),
     "fifty values": (

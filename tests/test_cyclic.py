@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -231,6 +232,22 @@ class TestCounts:
         # 1500^1500 has over 4,300 digits, more than Python prints by default.
         with pytest.raises(SearchCapExceeded, match="exceeds the cap"):
             count_cyclic_brute(1500)
+
+    @pytest.mark.parametrize(
+        "sweep", [count_cyclic_brute, lambda n: list(enumerate_cyclic_pf(n))], ids=["count", "enumerate"]
+    )
+    def test_refused_sweep_builds_nothing_of_size_n(self, sweep):
+        """The cap is read before the shared friend set and the n increasing
+        rotations are built: refusing n = 1,000,000 allocates no set of n
+        labels (one takes about 30 MB)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchCapExceeded, match="exceeds the cap"):
+                sweep(1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_component_count_n7(self):
         assert cyclic_total_count(7) == sum(len(components(pi)) for pi in all_perms(7))

@@ -14,6 +14,8 @@ from parkfun import (
     all_labelled_graphs,
     brute_fibre_counts,
     classical_park,
+    count_cyclic_brute,
+    enumerate_cyclic_pf,
     enumerate_fpf,
     count_fpf_brute,
     enumerate_fibre,
@@ -29,6 +31,7 @@ from parkfun import (
     make_preference,
     total_fpf_count,
 )
+from parkfun import friendship
 from parkfun.limits import BadCapSetting, brute_cap, ensure_sweep_within_cap
 from tests.conftest import brute_fibres_by_outcome, small_graphs
 
@@ -231,26 +234,67 @@ def test_sweeps_agree_with_per_preference_oracle(graph):
         assert box == oracle[pi.word]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_kernel_follows_the_stated_availability_rule(data):
+def _replay_on_lot(entries, graph):
     """Replay each car on a LotState: it takes the first spot at or after its
-    preference that `is_available` allows, and the result is friendship_park's."""
-    graph = data.draw(small_graphs(max_n=6))
+    preference that `is_available` allows. No code of the kernel is used."""
     n = graph.n
-    entries = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
     state = LotState.empty(n)
     for car, pref in enumerate(entries, start=1):
         spot = next((s for s in range(pref, n + 1) if is_available(state, graph, car, s)), None)
         if spot is None:
-            expected = Failure(car)
-            break
+            return Failure(car)
         state = state.place(spot, car)
-    else:
-        spot_of = {car: s for s, car in enumerate(state.occupancy, start=1)}
-        displacement = tuple(spot_of[car] - entries[car - 1] for car in range(1, n + 1))
-        expected = Success(Permutation(state.occupancy), displacement)
-    assert friendship_park(make_preference(entries), graph) == expected
+    spot_of = {car: s for s, car in enumerate(state.occupancy, start=1)}
+    displacement = tuple(spot_of[car] - entries[car - 1] for car in range(1, n + 1))
+    return Success(Permutation(state.occupancy), displacement)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_follows_the_stated_availability_rule(data):
+    """friendship_park's result is the replay's."""
+    graph = data.draw(small_graphs(max_n=6))
+    n = graph.n
+    entries = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    assert friendship_park(make_preference(entries), graph) == _replay_on_lot(entries, graph)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_follows_the_stated_availability_rule_on_every_small_input(n):
+    """Every labelled graph on n vertices and every preference in [n]^n:
+    16,609 cases over n <= 4."""
+    for graph in all_labelled_graphs(n):
+        for entries in itertools.product(range(1, n + 1), repeat=n):
+            expected = _replay_on_lot(entries, graph)
+            assert friendship_park(make_preference(entries), graph) == expected, (graph, entries)
+
+
+# The sweep's work, as calls of the kernel: one per preference of [5]^5,
+# whatever the caller keeps of the words. A cheaper call moves no row; a
+# sweep that skips preferences must update them.
+C5 = graph_generator("cycle", 5)
+SWEEPS = {
+    "count_fpf_brute": lambda: count_fpf_brute(C5),
+    "brute_fibre_counts": lambda: brute_fibre_counts(C5),
+    "enumerate_fpf": lambda: list(enumerate_fpf(C5)),
+    "count_cyclic_brute": lambda: count_cyclic_brute(5),
+    "enumerate_cyclic_pf": lambda: list(enumerate_cyclic_pf(5)),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=list(SWEEPS))
+def test_sweep_simulates_each_preference_once(monkeypatch, sweep):
+    calls = 0
+    real = friendship._run
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(friendship, "_run", counting)
+    sweep()
+    assert calls == 5 ** 5 == 3125
 
 
 class TestContainment:
