@@ -501,6 +501,93 @@ GOLDEN = [
             'displacement vectors"}], "passed": true}, "elapsed_ms": 0}\n'
         ),
     ),
+    # The verify suites at the sizes the benchmark runs them.
+    Case(
+        "verify props --n 4",
+        code=0,
+        out=(
+            "PASS  friendship-implies-classical n=4: all 64 labelled graphs, 256 "
+            "preferences each\n"
+            "PASS  nonempty-iff-hamiltonian n=4: all 64 labelled graphs, 256 "
+            "preferences each\n"
+            "PASS  classical-hamiltonian-outcome-transfers n=4: all 64 labelled "
+            "graphs, 256 preferences each\n"
+            "PASS  fibre-box-partition n=4: all 64 labelled graphs, 256 preferences "
+            "each\n"
+            "PASS  complete-graph-is-classical n=4: 125 preferences on K_4, "
+            "(n+1)^(n-1) = 125, outcomes as classical\n"
+            "PASS  friendship-beyond-hamiltonian-outcomes C_4: witness (1, 4, 1, 1)\n"
+            "6/6 checks passed\n"
+        ),
+        json=(
+            '{"command": "verify", "inputs": {"suite": "props", "n": "4", "force": '
+            'false}, "result": {"suite": "props", "checks": [{"name": '
+            '"friendship-implies-classical n=4", "passed": true, "detail": "all 64 '
+            'labelled graphs, 256 preferences each"}, {"name": '
+            '"nonempty-iff-hamiltonian n=4", "passed": true, "detail": "all 64 '
+            'labelled graphs, 256 preferences each"}, {"name": '
+            '"classical-hamiltonian-outcome-transfers n=4", "passed": true, "detail": '
+            '"all 64 labelled graphs, 256 preferences each"}, {"name": '
+            '"fibre-box-partition n=4", "passed": true, "detail": "all 64 labelled '
+            'graphs, 256 preferences each"}, {"name": "complete-graph-is-classical '
+            'n=4", "passed": true, "detail": "125 preferences on K_4, (n+1)^(n-1) = '
+            '125, outcomes as classical"}, {"name": '
+            '"friendship-beyond-hamiltonian-outcomes C_4", "passed": true, "detail": '
+            '"witness (1, 4, 1, 1)"}], "passed": true}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    Case(
+        "verify cycle --n 6",
+        code=0,
+        out=(
+            "PASS  cycle-hamiltonian-paths n=6: 12 paths == 2n rotations\n"
+            "PASS  cycle-count-closed-form n=6: formula 1331 vs brute 1331\n"
+            "PASS  cycle-fibre-closed-forms n=6: all 12 rotation fibres agree\n"
+            "PASS  cycle-blocking-run-shapes n=6: all runs match on 12 rotations\n"
+            "4/4 checks passed\n"
+        ),
+        json=(
+            '{"command": "verify", "inputs": {"suite": "cycle", "n": "6", "force": '
+            'false}, "result": {"suite": "cycle", "checks": [{"name": '
+            '"cycle-hamiltonian-paths n=6", "passed": true, "detail": "12 paths == 2n '
+            'rotations"}, {"name": "cycle-count-closed-form n=6", "passed": true, '
+            '"detail": "formula 1331 vs brute 1331"}, {"name": '
+            '"cycle-fibre-closed-forms n=6", "passed": true, "detail": "all 12 '
+            'rotation fibres agree"}, {"name": "cycle-blocking-run-shapes n=6", '
+            '"passed": true, "detail": "all runs match on 12 rotations"}], "passed": '
+            'true}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    Case(
+        "verify bijection --n 5",
+        code=0,
+        out=(
+            "PASS  inversion-sequence-bijection n=5: 120 permutations both ways\n"
+            "PASS  component-decomposition n=5: greedy cuts match minimal blocks on "
+            "120 permutations\n"
+            "PASS  cyclic-count n=5: brute 192, formula 192, components 192\n"
+            "PASS  component-bijection-round-trip n=5: 192 preferences <-> 192 "
+            "components\n"
+            "PASS  cyclic-fibre-sizes n=5: all 5 rotation fibres match the factorial "
+            "product\n"
+            "PASS  displacement-fibres n=5: 120 displacement vectors\n"
+            "6/6 checks passed\n"
+        ),
+        json=(
+            '{"command": "verify", "inputs": {"suite": "bijection", "n": "5", "force": '
+            'false}, "result": {"suite": "bijection", "checks": [{"name": '
+            '"inversion-sequence-bijection n=5", "passed": true, "detail": "120 '
+            'permutations both ways"}, {"name": "component-decomposition n=5", '
+            '"passed": true, "detail": "greedy cuts match minimal blocks on 120 '
+            'permutations"}, {"name": "cyclic-count n=5", "passed": true, "detail": '
+            '"brute 192, formula 192, components 192"}, {"name": '
+            '"component-bijection-round-trip n=5", "passed": true, "detail": "192 '
+            'preferences <-> 192 components"}, {"name": "cyclic-fibre-sizes n=5", '
+            '"passed": true, "detail": "all 5 rotation fibres match the factorial '
+            'product"}, {"name": "displacement-fibres n=5", "passed": true, "detail": '
+            '"120 displacement vectors"}], "passed": true}, "elapsed_ms": 0}\n'
+        ),
+    ),
     Case(
         "validate-report",
         stdin='{"command": "park", "inputs": {}, "result": {}, "elapsed_ms": 1.5}',
