@@ -13,6 +13,7 @@ closed forms and psi_inverse load neither.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
@@ -62,9 +63,7 @@ class Component(_Value):
                 f"positions {self.start}..{self.end} of {_clip_word(self.underlying.word)} "
                 "do not hold exactly the values of that interval"
             )
-        running = 0
-        for pos, v in enumerate(sub[:-1], start=self.start):
-            running = max(running, v)
+        for pos, running in enumerate(accumulate(sub[:-1], max), start=self.start):
             if running == pos:
                 raise ValueError(
                     f"block {self.start}..{self.end} is not minimal: "
@@ -90,9 +89,7 @@ def components(perm: Permutation) -> list[Component]:
     """
     out = []
     start = 1
-    running = 0
-    for j, v in enumerate(perm.word, start=1):
-        running = max(running, v)
+    for j, running in enumerate(accumulate(perm.word, max), start=1):
         if running == j:
             out.append(Component(perm, start, j))
             start = j + 1
@@ -208,19 +205,16 @@ def _psi_inverse(c: Component) -> tuple[ParkingPreference, InversionSequence]:
     n = host.n
     i = c.start
     seq = inv_seq(host)
-    entries = []
-    for j, count in enumerate(seq.entries, start=1):
-        spot = n + j + 1 - i if j < i else j + 1 - i
-        entries.append(spot - count)
-    return ParkingPreference(tuple(entries)), seq
+    entries = tuple((j - i) % n + 1 - count for j, count in enumerate(seq.entries, start=1))
+    return ParkingPreference(entries), seq
 
 
 def psi_inverse(c: Component) -> ParkingPreference:
     """The unique cyclic preference mapping to component `c`.
 
-    Car j ends up in the spot that value j occupies in the increasing
-    rotation from i = min value of the component; its preference is that
-    spot minus its inversion number in the host permutation.
+    Car j ends up in spot (j - i) mod n + 1, where value j sits in the
+    increasing rotation from i = min value of the component; its preference
+    is that spot minus its inversion number in the host permutation.
     """
     return _psi_inverse(c)[0]
 

@@ -13,6 +13,7 @@ listing, here, in `cyclic` and in `verify`, is a filter over its stream.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
@@ -170,9 +171,6 @@ def count_fpf_brute(graph: FriendshipGraph, *, force: bool = False) -> int:
 
 def brute_fibre_counts(
     graph: FriendshipGraph, *, force: bool = False
-) -> dict[tuple[int, ...], int]:
+) -> Counter[tuple[int, ...]]:
     """Outcome word -> number of preferences reaching it, by one full sweep."""
-    counts: dict[tuple[int, ...], int] = {}
-    for _, word in _sweep(graph.n, graph._neighbors, force):
-        counts[word] = counts.get(word, 0) + 1
-    return counts
+    return Counter(word for _, word in _sweep(graph.n, graph._neighbors, force))

@@ -88,12 +88,11 @@ class BadCapSetting(ValueError):
 
 
 def _size_text(size: int) -> str:
-    """`size` in decimal or, past _QUOTE_CHARS digits, as a power of ten it
-    exceeds."""
+    """`size` in decimal or, past _QUOTE_CHARS digits, as the largest power
+    of ten below it."""
     if size < 10 ** _QUOTE_CHARS:
         return str(size)
-    # 0.30102999 < log10(2), so this power of ten is always below `size`.
-    return f"more than 10^{(size.bit_length() - 1) * 30102999 // 10 ** 8}"
+    return f"more than 10^{_digits(size - 1) - 1}"
 
 
 class SearchCapExceeded(RuntimeError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -237,7 +238,7 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
         for c, pi in rotations:
             closed = cycle_fibre_size(c)
             general = fibre_size(pi, cn)
-            counted = brute.get(pi.word, 0)
+            counted = brute[pi.word]
             if not closed == general == counted:
                 bad.append(f"{pi.word}: closed {closed}, product {general}, brute {counted}")
         results.append(
@@ -325,15 +326,15 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
             )
         )
 
-        per_start: dict[int, int] = {}
+        per_start: Counter[int] = Counter()
         bad = []
         images = []
-        by_displacement: dict[tuple[int, ...], int] = {}
+        by_displacement: Counter[tuple[int, ...]] = Counter()
         for p in cyclic_pfs:
             res, c, _ = cyc._psi(p)
             start = res.outcome.word[0]
-            per_start[start] = per_start.get(start, 0) + 1
-            by_displacement[res.displacement] = by_displacement.get(res.displacement, 0) + 1
+            per_start[start] += 1
+            by_displacement[res.displacement] += 1
             images.append(c)
             if cyc.psi_inverse(c) != p:
                 bad.append(f"round trip at {p.entries}")
@@ -361,7 +362,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         bad = [
             f"start {start}"
             for start in range(1, n + 1)
-            if per_start.get(start, 0) != cyc.cyclic_fibre_size(start, n)
+            if per_start[start] != cyc.cyclic_fibre_size(start, n)
         ]
         results.append(
             _check(
@@ -373,7 +374,7 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
 
         bad = []
         for entries, want in comp_counts.items():
-            got = by_displacement.get(entries, 0)
+            got = by_displacement[entries]
             if want != got:
                 bad.append(f"displacement {entries}: {got} preferences vs {want} components")
         results.append(

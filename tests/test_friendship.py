@@ -188,6 +188,15 @@ class TestEnumerateFpf:
         with pytest.raises(BadCapSetting):
             ensure_sweep_within_cap(NoPower(2_000_000))
 
+    def test_size_past_40_digits_is_named_by_the_largest_power_of_ten_below_it(self):
+        powers = [10**k for k in range(4302)]
+        sizes = [p + d for p in powers[40:4301] for d in (0, 1)]
+        sizes += [1 << b for b in range(powers[40].bit_length(), powers[4300].bit_length())]
+        for size in sizes:
+            text = str(SearchCapExceeded(size, 1))
+            k = int(text.removeprefix("search space of more than 10^").partition(" ")[0])
+            assert powers[k] < size <= powers[k + 1], size
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
     def test_bad_cap_setting_is_a_value_error(self, monkeypatch, raw):
         monkeypatch.setenv("PARKFUN_BRUTE_CAP", raw)

@@ -283,6 +283,21 @@ class TestEnumerateFibre:
         )
 
 
+def _calls_per_total(monkeypatch, name, graph):
+    """How many times `total_fpf_count(graph)` calls `structure.<name>`."""
+    calls = 0
+    real = getattr(structure, name)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(structure, name, counted)
+    total_fpf_count(graph)
+    return calls
+
+
 class TestTotalCount:
     def test_star_has_none(self):
         assert total_fpf_count(STAR) == 0
@@ -325,17 +340,16 @@ class TestTotalCount:
         """Work, not time: the number of neighbour tests a total makes is the
         same on any machine. A scan stepping left one value at a time made
         1,353,200, 2,765,108 and 31,003 of them."""
-        calls = 0
-        blocks = structure._blocks
+        assert _calls_per_total(monkeypatch, "_blocks", graph_generator(kind, n)) == tests
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return blocks(*args)
-
-        monkeypatch.setattr(structure, "_blocks", counted)
-        total_fpf_count(graph_generator(kind, n))
-        assert calls == tests
+    @pytest.mark.parametrize(
+        "kind, n, appends",
+        [("path", 100, 10_000), ("cycle", 200, 79_800), ("complete", 7, 13_699)],
+    )
+    def test_dfs_appends_per_total(self, monkeypatch, kind, n, appends):
+        """Work, not time: the DFS scans one blocking run per append, n² of
+        them on a path graph, n(2n - 1) on a cycle and about e·n! on K_n."""
+        assert _calls_per_total(monkeypatch, "_run_start", graph_generator(kind, n)) == appends
 
     def test_long_paths_within_the_recursion_limit(self):
         # The DFS is as deep as the path is long; it must not take one
