@@ -132,6 +132,11 @@ class TestCycleTotalCount:
         with pytest.raises(ValueError):
             cycle_total_count(2)
 
+    @pytest.mark.parametrize("n", [5.0, 7.5])
+    def test_non_integer_n_is_a_type_error(self, n):
+        with pytest.raises(TypeError):
+            cycle_total_count(n)
+
 
 class TestBlockingRunShapes:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -228,6 +228,11 @@ class TestCounts:
             with pytest.raises(ValueError, match=r"^need n >= 1$"):
                 count(n)
 
+    @pytest.mark.parametrize("n", [5.0, 7.5])
+    def test_total_non_integer_n_is_a_type_error(self, n):
+        with pytest.raises(TypeError):
+            cyclic_total_count(n)
+
     def test_brute_refusal_past_the_int_digit_limit(self):
         # 1500^1500 has over 4,300 digits, more than Python prints by default.
         with pytest.raises(SearchCapExceeded, match="exceeds the cap"):
