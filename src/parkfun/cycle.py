@@ -9,9 +9,10 @@ in the decreasing case because there every pair of vertices is adjacent.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import Permutation, _require_label, _Value
 
@@ -77,13 +78,30 @@ def _rotation_size(start: int, n: int) -> int:
     return factorial(n + 1 - start) * factorial(start - 1)
 
 
-def _rotation_sizes(n: int) -> Iterator[int]:
-    """_rotation_size(i, n) for i = 1..n, each one exact ratio from the last,
-    so that no term multiplies two large factorials."""
-    size = factorial(n)
-    for i in range(1, n + 1):
-        yield size
-        size = size * i // (n + 1 - i)
+def _split_rotation_sum(lo: int, hi: int, n: int, weight: Callable[[int], int]) -> tuple[int, int, int]:
+    """(P, Q, T) over the starts lo..hi-1, halved down to single starts:
+    P = prod j, Q = prod (n+1-j) and T / Q = sum of weight(i) * prod j / (n+1-j)
+    over the j before i. Halves merge as P1*P2, Q1*Q2 and T1*Q2 + P1*T2, so
+    each multiplication pairs two ints of about the same size."""
+    if hi - lo == 1:
+        return lo, n + 1 - lo, weight(lo) * (n + 1 - lo)
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split_rotation_sum(lo, mid, n, weight)
+    p2, q2, t2 = _split_rotation_sum(mid, hi, n, weight)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _weighted_rotation_sum(n: int, weight: Callable[[int], int]) -> int:
+    """The sum of weight(i) * r(i) for i = 1..n (n >= 1), by binary splitting.
+
+    r(1) = n! and r(i+1) = r(i) * i / (n+1-i); Q over all of 1..n is n!, so
+    the whole range's T is the sum itself."""
+    return _split_rotation_sum(1, operator.index(n) + 1, n, weight)[2]
+
+
+def _increasing_weight(i: int) -> int:
+    # 3 * _increasing_fibre_size(i, r) / r, so the summed weights divide by 3 once.
+    return 3 if i <= 3 else i
 
 
 def _increasing_fibre_size(i: int, rotation_size: int) -> int:
@@ -119,5 +137,5 @@ def cycle_total_count(n: int) -> int:
     """
     if n < 3:
         raise ValueError("the cycle graph needs n >= 3")
-    sizes = enumerate(_rotation_sizes(n), start=1)
-    return sum(_increasing_fibre_size(i, r) + _decreasing_fibre_size(i, n) for i, r in sizes)
+    increasing = _exact_div3(_weighted_rotation_sum(n, _increasing_weight))
+    return increasing + sum(_decreasing_fibre_size(i, n) for i in range(1, n + 1))

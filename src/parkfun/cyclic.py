@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
-from .cycle import _rotation_size, _rotation_sizes, increasing_word
+from .cycle import _rotation_size, _weighted_rotation_sum, increasing_word
 from .limits import _clip_word, _shown, ensure_sweep_within_cap
 from .notation import format_word_compact
 
@@ -166,7 +166,7 @@ def cyclic_total_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return sum(_rotation_sizes(n))
+    return _weighted_rotation_sum(n, lambda i: 1)
 
 
 def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:

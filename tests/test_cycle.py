@@ -104,16 +104,17 @@ class TestCycleTotalCount:
         assert cycle_total_count(n) == sum(counts.values())
 
     def test_equals_sum_of_fibre_sizes(self):
-        # cycle_fibre_size calls math.factorial; the total steps one ratio at a time.
-        for n in [*range(3, 61), 500, 2000]:
+        # cycle_fibre_size calls math.factorial; the total splits 1..n in halves,
+        # so n = 2^k - 1, 2^k and 2^k + 1 meet every shape of split boundary.
+        for n in [*range(3, 61), *(2**k + d for k in range(2, 10) for d in (-1, 0, 1)), 500, 2000]:
             assert cycle_total_count(n) == sum(
                 cycle_fibre_size(c) for c in cyclic_outcomes(n)
             )
 
     @pytest.mark.parametrize("total", [cycle_total_count, cyclic_total_count])
     def test_keeps_few_big_ints_alive(self, total):
-        # A table of every k! up to 5000 peaks near 17 MB; one ratio stream
-        # holds a few ints of about 8 KB each.
+        # A table of every k! up to 5000 peaks near 17 MB; the binary split
+        # holds one (P, Q, T) per level of halving, the largest about 8 KB each.
         tracemalloc.start()
         try:
             total(5000)

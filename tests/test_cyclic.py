@@ -208,7 +208,9 @@ class TestCounts:
         assert [cyclic_total_count(n) for n in range(1, 6)] == [1, 3, 10, 40, 192]
 
     def test_total_equals_sum_of_fibre_sizes(self):
-        for n in [*range(1, 61), 500, 2000]:
+        # The total splits 1..n in halves: n = 2^k - 1, 2^k and 2^k + 1 meet
+        # every shape of split boundary.
+        for n in [*range(1, 61), *(2**k + d for k in range(2, 10) for d in (-1, 0, 1)), 500, 2000]:
             total = sum(cyclic_fibre_size(start, n) for start in range(1, n + 1))
             assert cyclic_total_count(n) == total
             if n <= 60:

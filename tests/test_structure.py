@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkfun import structure
+from parkfun import cycle, structure
 from parkfun import (
     NotHamiltonianPath,
     Permutation,
@@ -16,6 +16,7 @@ from parkfun import (
     blocking_sequence,
     count_fpf_brute,
     cycle_total_count,
+    cyclic_total_count,
     enumerate_fibre,
     fibre_characterisation,
     fibre_size,
@@ -350,6 +351,31 @@ class TestTotalCount:
         """Work, not time: the DFS scans one blocking run per append, n² of
         them on a path graph, n(2n - 1) on a cycle and about e·n! on K_n."""
         assert _calls_per_total(monkeypatch, "_run_start", graph_generator(kind, n)) == appends
+
+    @pytest.mark.parametrize(
+        "total, n, entries, depth",
+        [(cycle_total_count, 2000, 3_999, 12), (cyclic_total_count, 2000, 3_999, 12)],
+    )
+    def test_split_entries_per_closed_form_total(self, monkeypatch, total, n, entries, depth):
+        """Work, not time: each closed-form total halves 1..n down to single
+        starts, 2n - 1 entries nested at most ceil(log2 n) + 1 deep. The ratio
+        stream it replaced made one full-size multiply and divide per start."""
+        calls = level = deepest = 0
+        real = cycle._split_rotation_sum
+
+        def counted(*args):
+            nonlocal calls, level, deepest
+            calls, level = calls + 1, level + 1
+            deepest = max(deepest, level)
+            try:
+                return real(*args)
+            finally:
+                level -= 1
+
+        monkeypatch.setattr(cycle, "_split_rotation_sum", counted)
+        total(n)
+        assert (calls, deepest) == (entries, depth)
+        assert deepest <= (n - 1).bit_length() + 1
 
     def test_long_paths_within_the_recursion_limit(self):
         # The DFS is as deep as the path is long; it must not take one
