@@ -358,8 +358,7 @@ class TestTotalCount:
     )
     def test_split_entries_per_closed_form_total(self, monkeypatch, total, n, entries, depth):
         """Work, not time: each closed-form total halves 1..n down to single
-        starts, 2n - 1 entries nested at most ceil(log2 n) + 1 deep. The ratio
-        stream it replaced made one full-size multiply and divide per start."""
+        starts, 2n - 1 entries nested at most ceil(log2 n) + 1 deep."""
         calls = level = deepest = 0
         real = cycle._split_rotation_sum
 
