@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -182,6 +183,21 @@ class TestFriendshipGraph:
     def test_all_labelled_graphs_count(self):
         assert sum(1 for _ in all_labelled_graphs(4)) == 64
         assert sum(1 for _ in all_labelled_graphs(3)) == 8
+
+
+class TestGraphMemory:
+    def test_refusal_checks_every_edge_before_anything_grows_with_n(self):
+        """A self-loop among the edges is refused before the n + 1 neighbour
+        slots are allocated: at n = 10^12 they would take 8 TB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                make_graph(10**12, [(1, 2), (3, 3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "self-loop at vertex 3"
+        assert peak < 1_000_000
 
 
 GRAPH_FILE = """\
