@@ -8,7 +8,8 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections import defaultdict
+from typing import Iterable, Iterator, NoReturn
 
 from .limits import _clip_word, _quote, _read_int, _shown
 
@@ -27,15 +28,18 @@ def _require_label(what: str, v: int, n: int) -> None:
 
 
 class _Value:
-    """Immutable value: equality (within one class), hash and repr over
-    `_fields`. Copying and unpickling call the constructor again, so every
-    copy passes the constructor's checks."""
+    """Immutable value: repr over `_fields`, equality (within one class) and
+    hash over `_key()`, the fields unless a class holds them in another
+    form. Copying and unpickling pass the fields to the constructor again,
+    so every copy passes the constructor's checks."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
+
+    _key = _values
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -56,7 +60,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._key()
+        return type(self), self._values()
 
 
 class _Word(_Value):
@@ -142,39 +146,56 @@ def inverse_position(perm: Permutation, value: int) -> int:
     return perm.word.index(value) + 1
 
 
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
+def _refuse_edge(u, v, n: int) -> NoReturn:
+    """Name the first fault of an edge that is not two distinct vertices of [n]."""
+    for w in (u, v):
+        if type(w) is not int:
+            raise ValueError(f"vertex {_shown(w)} is not an integer")
+        _require_label("vertex", w, n)
+    raise ValueError(f"self-loop at vertex {_shown(u)}")
+
+
 class FriendshipGraph(_Value):
     """Simple undirected graph on vertex set [n].
 
     An edge {u, v} declares that cars u and v may occupy adjacent spots.
-    Edges are stored canonically as (min, max) pairs; adjacency queries are
-    O(1) via per-vertex neighbour sets.
+    The neighbour sets are the graph: `_neighbors[v]` holds the neighbours
+    of v (slot 0 is unused), so adjacency queries are O(1), and equality and
+    hash read them. `edges`, each edge as its (min, max) pair, is derived
+    from them.
     """
 
-    __slots__ = ("n", "edges", "_neighbors")
+    __slots__ = ("n", "_neighbors")
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         object.__setattr__(self, "n", n)
-        if type(self.n) is not int:
-            raise ValueError(f"vertex count {_shown(self.n)} is not an integer")
-        if self.n < 1:
+        if type(n) is not int:
+            raise ValueError(f"vertex count {_shown(n)} is not an integer")
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        canonical = set()
-        for e in edges:
-            u, v = e
-            for w in (u, v):
-                if type(w) is not int:
-                    raise ValueError(f"vertex {_shown(w)} is not an integer")
-                _require_label("vertex", w, self.n)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {_shown(u)}")
-            canonical.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canonical))
-        nbr = [set() for _ in range(self.n + 1)]
-        for u, v in canonical:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        object.__setattr__(self, "_neighbors", tuple(frozenset(s) for s in nbr))
+        # Every edge is checked before anything of size n is allocated.
+        touched = defaultdict(set)
+        for u, v in edges:
+            if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n and u != v):
+                _refuse_edge(u, v, n)
+            touched[u].add(v)
+            touched[v].add(u)
+        neighbors = [_NO_NEIGHBORS] * (n + 1)
+        while touched:
+            v, friends = touched.popitem()
+            neighbors[v] = frozenset(friends)
+        object.__setattr__(self, "_neighbors", tuple(neighbors))
+
+    def _key(self) -> tuple:
+        return self.n, self._neighbors
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, friends in enumerate(self._neighbors) for v in friends if u < v)
 
     def adjacent(self, u: int, v: int) -> bool:
         _require_label("vertex", u, self.n)

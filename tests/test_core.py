@@ -1,9 +1,10 @@
 import copy
+import itertools
 import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkfun import (
@@ -40,6 +41,7 @@ from parkfun import (
     parse_graph_text,
 )
 from parkfun.core import parse_graph_header
+from parkfun.limits import _shown
 from parkfun.structure import fibre_characterisation
 
 
@@ -185,7 +187,39 @@ class TestFriendshipGraph:
         assert sum(1 for _ in all_labelled_graphs(3)) == 8
 
 
+def _held(build):
+    """What build() returns, and the bytes it holds (by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        value = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return value, held
+
+
 class TestGraphMemory:
+    """A graph holds its neighbour sets and nothing more. Each bound is
+    stated against a reference built in the test, so it holds on every
+    interpreter."""
+
+    def test_a_graph_holds_what_its_neighbour_sets_hold(self):
+        n = 20_000
+        graph, held = _held(lambda: graph_generator("cycle", n))
+        # The same neighbour tuple, built directly.
+        reference, reference_held = _held(
+            lambda: tuple(frozenset({(v - 2) % n + 1, v % n + 1}) if v else frozenset() for v in range(n + 1))
+        )
+        assert graph._neighbors == reference
+        assert held <= 1.1 * reference_held
+
+    def test_isolated_vertices_share_one_empty_set(self):
+        n = 200_000
+        graph, held = _held(lambda: make_graph(n, [(1, 2)]))
+        # One slot per vertex is 1.6 MB; one empty set per vertex held 42.7.
+        assert graph.edges == frozenset({(1, 2)})
+        assert held < 4_000_000
+
     def test_refusal_checks_every_edge_before_anything_grows_with_n(self):
         """A self-loop among the edges is refused before the n + 1 neighbour
         slots are allocated: at n = 10^12 they would take 8 TB."""
@@ -198,6 +232,104 @@ class TestGraphMemory:
             tracemalloc.stop()
         assert str(info.value) == "self-loop at vertex 3"
         assert peak < 1_000_000
+
+
+def _reference_graph(n, edges):
+    """(edges, neighbour sets) as the graph constructor built them when it
+    stored both, with its per-edge checks; raises what it raised."""
+    if type(n) is not int:
+        raise ValueError(f"vertex count {_shown(n)} is not an integer")
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    canonical = set()
+    for e in edges:
+        u, v = e
+        for w in (u, v):
+            if type(w) is not int:
+                raise ValueError(f"vertex {_shown(w)} is not an integer")
+            if not 1 <= w <= n:
+                raise ValueError(f"vertex {_shown(w)} is outside [1, {_shown(n)}]")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {_shown(u)}")
+        canonical.add((min(u, v), max(u, v)))
+    nbr = [set() for _ in range(n + 1)]
+    for u, v in canonical:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return frozenset(canonical), tuple(frozenset(s) for s in nbr)
+
+
+def _assert_builds_as_reference(n, edges):
+    try:
+        expected = _reference_graph(n, edges)
+    except Exception as refusal:
+        with pytest.raises(Exception) as info:
+            make_graph(n, edges)
+        assert (type(info.value), str(info.value)) == (type(refusal), str(refusal))
+    else:
+        graph = make_graph(n, edges)
+        assert (graph.edges, graph._neighbors) == expected
+
+
+@st.composite
+def _hostile_edge_lists(draw):
+    """n, and edges from vertices in and out of [1, n], non-integers,
+    self-loops, duplicates and reversed pairs."""
+    n = draw(st.integers(1, 6))
+    vertex = st.one_of(
+        st.integers(1, n),
+        st.sampled_from([0, n + 1, -1, 10**5000, -(10**5000), True, False, 1.0, 2.5, "1", None]),
+        st.lists(st.integers(1, n), max_size=1),
+    )
+    edges = draw(st.lists(st.one_of(st.tuples(vertex, vertex), st.integers(1, n).map(lambda v: (v, v))), max_size=8))
+    if edges:
+        again = draw(st.lists(st.sampled_from(edges), max_size=4))
+        edges += [e[::-1] if draw(st.booleans()) else e for e in again]
+    return n, draw(st.permutations(edges))
+
+
+class TestGraphMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_hostile_edge_lists())
+    def test_hostile_edges(self, payload):
+        _assert_builds_as_reference(*payload)
+
+    def test_every_labelled_graph(self):
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for r in range(len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, r):
+                    _assert_builds_as_reference(n, chosen)
+
+    @pytest.mark.parametrize(
+        "family, first, edges",
+        [
+            ("cycle", 3, lambda n: [(i, i % n + 1) for i in range(1, n + 1)]),
+            ("complete", 1, lambda n: list(itertools.combinations(range(1, n + 1), 2))),
+            ("path", 1, lambda n: [(i, i + 1) for i in range(1, n)]),
+        ],
+    )
+    def test_generators(self, family, first, edges):
+        for n in range(first, 9):
+            _assert_builds_as_reference(n, edges(n))
+            graph = graph_generator(family, n)
+            assert (graph.edges, graph._neighbors) == _reference_graph(n, edges(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_edge_set_one_graph(data):
+    """Order, orientation and repeats of the edges do not change the graph,
+    its equality or its hash."""
+    n = data.draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    given_edges = [e[::-1] if data.draw(st.booleans()) else e for e in chosen]
+    given_edges += data.draw(st.lists(st.sampled_from(given_edges), max_size=4)) if given_edges else []
+    graph = make_graph(n, data.draw(st.permutations(given_edges)))
+    canonical = make_graph(n, sorted(chosen))
+    assert graph == canonical and hash(graph) == hash(canonical)
+    assert graph.edges == frozenset(chosen)
 
 
 GRAPH_FILE = """\
@@ -292,10 +424,20 @@ def test_values_of_different_types_differ():
     assert ParkingPreference((1,)) != InversionSequence((0,))
 
 
-def test_graph_copies_rebuild_the_neighbour_sets():
+def test_graph_copies_rebuild_the_neighbour_sets(monkeypatch):
+    built = []
+    real = FriendshipGraph.__init__
+
+    def counting(self, n, edges):
+        built.append((n, edges))
+        real(self, n, edges)
+
     graph = graph_generator("cycle", 4)
-    for twin in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
-        assert twin == graph and twin.neighbors(1) == frozenset({2, 4})
+    monkeypatch.setattr(FriendshipGraph, "__init__", counting)
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert type(twin) is FriendshipGraph and twin == graph and hash(twin) == hash(graph)
+        assert twin.neighbors(1) == frozenset({2, 4})
+    assert built == [(4, graph.edges)] * 3
 
 
 def _listed_items(n):
@@ -358,6 +500,20 @@ def test_a_copy_checks_its_word(twin, value, message):
     with pytest.raises(ValueError) as info:
         twin(value)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "twin", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_a_graph_copy_checks_its_neighbour_sets(twin):
+    """A copy rebuilds the graph from the edges its neighbour sets name, so a
+    neighbour past n, which no constructor builds, is refused as the
+    constructor refuses it."""
+    graph = graph_generator("path", 3)
+    object.__setattr__(graph, "_neighbors", (frozenset(), frozenset({2, 4}), frozenset({1, 3}), frozenset({2})))
+    with pytest.raises(ValueError) as info:
+        twin(graph)
+    assert str(info.value) == "vertex 4 is outside [1, 3]"
 
 
 # Every public entry point that checks a label (a value, vertex, spot or
