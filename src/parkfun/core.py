@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from .limits import _clip_word, _quote, _read_int, _shown
 
@@ -146,18 +146,6 @@ def inverse_position(perm: Permutation, value: int) -> int:
     return perm.word.index(value) + 1
 
 
-_NO_NEIGHBORS: frozenset[int] = frozenset()
-
-
-def _refuse_edge(u, v, n: int) -> NoReturn:
-    """Name the first fault of an edge that is not two distinct vertices of [n]."""
-    for w in (u, v):
-        if type(w) is not int:
-            raise ValueError(f"vertex {_shown(w)} is not an integer")
-        _require_label("vertex", w, n)
-    raise ValueError(f"self-loop at vertex {_shown(u)}")
-
-
 class FriendshipGraph(_Value):
     """Simple undirected graph on vertex set [n].
 
@@ -181,10 +169,15 @@ class FriendshipGraph(_Value):
         touched = defaultdict(set)
         for u, v in edges:
             if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n and u != v):
-                _refuse_edge(u, v, n)
+                # Only a refused edge is checked vertex by vertex, to name its first fault.
+                for w in (u, v):
+                    if type(w) is not int:
+                        raise ValueError(f"vertex {_shown(w)} is not an integer")
+                    _require_label("vertex", w, n)
+                raise ValueError(f"self-loop at vertex {_shown(u)}")
             touched[u].add(v)
             touched[v].add(u)
-        neighbors = [_NO_NEIGHBORS] * (n + 1)
+        neighbors = [frozenset()] * (n + 1)  # one empty set for every isolated vertex
         while touched:
             v, friends = touched.popitem()
             neighbors[v] = frozenset(friends)
