@@ -22,7 +22,9 @@ def _require_ints(values: tuple, what: str) -> None:
 
 
 def _require_label(what: str, v: int, n: int) -> None:
-    """Reject a label (value, vertex, spot, start) outside [1, n]."""
+    """Reject a label (value, vertex, spot, start) that is not an int in [1, n]."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {_shown(v)} is not an integer")
     if not 1 <= v <= n:
         raise ValueError(f"{what} {_shown(v)} is outside [1, {_shown(n)}]")
 
@@ -30,11 +32,16 @@ def _require_label(what: str, v: int, n: int) -> None:
 class _Value:
     """Immutable value: repr over `_fields`, equality (within one class) and
     hash over `_key()`, the fields unless a class holds them in another
-    form. Copying and unpickling pass the fields to the constructor again,
-    so every copy passes the constructor's checks."""
+    form. `__init__` stores the fields in `_fields` order, the order in
+    which copying and unpickling pass them to the constructor again, so
+    every copy passes the constructor's checks."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -103,7 +110,7 @@ class ParkingPreference(_Word):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: Iterable[int]):
-        object.__setattr__(self, "entries", tuple(entries))
+        super().__init__(tuple(entries))
         n = len(self.entries)
         if n == 0:
             raise ValueError("preference must have at least one entry")
@@ -123,7 +130,7 @@ class Permutation(_Word):
     __slots__ = _fields = ("word",)
 
     def __init__(self, word: tuple[int, ...]):
-        object.__setattr__(self, "word", tuple(word))
+        super().__init__(tuple(word))
         n = len(self.word)
         if n == 0:
             raise ValueError("permutation must be non-empty")
@@ -171,8 +178,6 @@ class FriendshipGraph(_Value):
             if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n and u != v):
                 # Only a refused edge is checked vertex by vertex, to name its first fault.
                 for w in (u, v):
-                    if type(w) is not int:
-                        raise ValueError(f"vertex {_shown(w)} is not an integer")
                     _require_label("vertex", w, n)
                 raise ValueError(f"self-loop at vertex {_shown(u)}")
             touched[u].add(v)
@@ -209,8 +214,7 @@ class Success(_Value):
     __slots__ = _fields = ("outcome", "displacement")
 
     def __init__(self, outcome: Permutation, displacement: tuple[int, ...]):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "displacement", tuple(displacement))
+        super().__init__(outcome, tuple(displacement))
         if len(self.displacement) != self.outcome.n:
             raise ValueError("displacement length must match the outcome")
         if any(d < 0 for d in self.displacement):
@@ -223,7 +227,7 @@ class Failure(_Value):
     __slots__ = _fields = ("car",)
 
     def __init__(self, car: int):
-        object.__setattr__(self, "car", car)
+        super().__init__(car)
 
 
 ParkOutcome = Success | Failure

@@ -28,9 +28,7 @@ class CyclicOutcome(_Value):
     __slots__ = _fields = ("direction", "start", "n")
 
     def __init__(self, direction: Direction, start: int, n: int):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "n", n)
+        super().__init__(direction, start, n)
         if self.n < 3:
             raise ValueError("cycle outcomes need n >= 3")
         _require_label("start", self.start, self.n)
@@ -100,13 +98,9 @@ def _weighted_rotation_sum(n: int, weight: Callable[[int], int]) -> int:
 
 
 def _increasing_weight(i: int) -> int:
-    # 3 * _increasing_fibre_size(i, r) / r, so the summed weights divide by 3 once.
+    # The increasing fibre from start i is weight(i) * r(i) / 3: r(i) up to
+    # start 3, then (n-i+1)! * i! / 3. Summed weights divide by 3 once.
     return 3 if i <= 3 else i
-
-
-def _increasing_fibre_size(i: int, rotation_size: int) -> int:
-    # From start 4 on, the fibre is (n-i+1)! * i! / 3, that is i * r(i) / 3.
-    return rotation_size if i <= 3 else _exact_div3(i * rotation_size)
 
 
 def _decreasing_fibre_size(i: int, n: int) -> int:
@@ -125,7 +119,7 @@ def cycle_fibre_size(c: CyclicOutcome) -> int:
     """Closed-form fibre size of a rotation outcome on the cycle graph."""
     if c.direction is Direction.DECREASING:
         return _decreasing_fibre_size(c.start, c.n)
-    return _increasing_fibre_size(c.start, _rotation_size(c.start, c.n))
+    return _exact_div3(_increasing_weight(c.start) * _rotation_size(c.start, c.n))
 
 
 def cycle_total_count(n: int) -> int:

@@ -16,7 +16,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .core import ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word
+from .core import (
+    ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word, inverse_position
+)
 from .cycle import _rotation_size, _weighted_rotation_sum, increasing_word
 from .limits import _clip_word, _shown, ensure_sweep_within_cap
 from .notation import format_word_compact
@@ -32,7 +34,7 @@ class InversionSequence(_Word):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", tuple(entries))
+        super().__init__(tuple(entries))
         _require_ints(self.entries, "entry")
         for idx, a in enumerate(self.entries, start=1):
             if not 0 <= a < idx:
@@ -51,9 +53,7 @@ class Component(_Value):
     __slots__ = _fields = ("underlying", "start", "end")
 
     def __init__(self, underlying: Permutation, start: int, end: int):
-        object.__setattr__(self, "underlying", underlying)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        super().__init__(underlying, start, end)
         n = self.underlying.n
         if not 1 <= self.start <= self.end <= n:
             raise ValueError(f"positions {_shown(self.start)}..{_shown(self.end)} are outside [1, {n}]")
@@ -98,9 +98,7 @@ def components(perm: Permutation) -> list[Component]:
 
 def inversion_number(value: int, perm: Permutation) -> int:
     """How many smaller values appear after `value` in the word."""
-    _require_label("value", value, perm.n)
-    pos = perm.word.index(value)
-    return sum(1 for x in perm.word[pos + 1 :] if x < value)
+    return sum(1 for x in perm.word[inverse_position(perm, value) :] if x < value)
 
 
 def inv_seq(perm: Permutation) -> InversionSequence:

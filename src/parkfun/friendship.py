@@ -35,7 +35,7 @@ class LotState(_Word):
     __slots__ = _fields = ("occupancy",)
 
     def __init__(self, occupancy: tuple[int | None, ...]):
-        object.__setattr__(self, "occupancy", tuple(occupancy))
+        super().__init__(tuple(occupancy))
         cars = [c for c in self.occupancy if c is not None]
         for car in cars:
             _require_label("car", car, self.n)

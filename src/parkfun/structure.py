@@ -36,8 +36,7 @@ class BlockingSequence(_Value):
     __slots__ = _fields = ("elements", "target")
 
     def __init__(self, elements: tuple[int, ...], target: int):
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "target", target)
+        super().__init__(tuple(elements), target)
         if not self.elements or self.elements[-1] != self.target:
             raise ValueError("blocking sequence must end at its target")
 
@@ -56,8 +55,7 @@ class FibreCharacterisation(_Value):
     __slots__ = _fields = ("outcome", "spot_sets")
 
     def __init__(self, outcome: Permutation, spot_sets: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "spot_sets", tuple(tuple(s) for s in spot_sets))
+        super().__init__(outcome, tuple(tuple(s) for s in spot_sets))
         if len(self.spot_sets) != self.outcome.n:
             raise ValueError("need exactly one spot interval per car")
 

@@ -516,7 +516,7 @@ def test_a_graph_copy_checks_its_neighbour_sets(twin):
 
 
 # Every public entry point that checks a label (a value, vertex, spot or
-# start) against [1, n], with the word its message uses for the label.
+# start) is an int in [1, n], with the word its message uses for the label.
 N = 4
 PERM = Permutation((2, 3, 1, 4))
 C4 = graph_generator("cycle", N)
@@ -549,6 +549,15 @@ def test_label_outside_range_message(what, check, v):
     with pytest.raises(ValueError) as info:
         check(v)
     assert str(info.value) == f"{what} {v} is outside [1, {N}]"
+
+
+# A label is an int: a bool or a float is refused even when it equals one.
+@pytest.mark.parametrize("v", [True, 1.0, 2.5])
+@pytest.mark.parametrize("what, check", LABEL_CHECKS.values(), ids=list(LABEL_CHECKS))
+def test_label_not_an_int_message(what, check, v):
+    with pytest.raises(ValueError) as info:
+        check(v)
+    assert str(info.value) == f"{what} {v} is not an integer"
 
 
 # Each word type: its word, which `n`, `len()` and iteration all read.

@@ -304,3 +304,15 @@ def test_no_module_imports_jsonschema():
     """jsonschema is a test dependency only: the package checks a report itself."""
     for path in PACKAGE.rglob("*.py"):
         assert not {name for name in _imports(path) if name.split(".")[0] == "jsonschema"}, path.name
+
+
+def test_only_core_sets_fields_past_the_frozen_guard():
+    """`_Value.__init__` stores every value's fields: no other module writes
+    round `_Value.__setattr__` with `object.__setattr__`."""
+    for path in PACKAGE.rglob("*.py"):
+        calls = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ]
+        assert path.name == "core.py" or not calls, path.name
