@@ -26,7 +26,7 @@ def run(args, say) -> tuple[dict, dict, int]:
         if args.perm is not None or args.start is not None:
             raise UsageError("bijection psi takes no --perm or --start")
         p = _parse_word(ParkingPreference, "preference", args.preference)
-        inputs = {"direction": "psi", "preference": list(p.entries)}
+        inputs = {"direction": "psi", "preference": p.entries}
         try:
             res, c, comps = _psi(p)
         except NotCyclicPreference as e:
@@ -40,11 +40,11 @@ def run(args, say) -> tuple[dict, dict, int]:
         say(f"marked: {format_blocks(host.word, blocks, mark_start=c.start)}")
         say(f"component: {format_word_compact(c.word)} (positions {c.start}..{c.end})")
         result = {
-            "outcome": list(res.outcome.word),
+            "outcome": res.outcome.word,
             "start": res.outcome.word[0],
-            "displacement": list(res.displacement),
-            "host": list(host.word),
-            "component": {"start": c.start, "end": c.end, "word": list(c.word)},
+            "displacement": res.displacement,
+            "host": host.word,
+            "component": {"start": c.start, "end": c.end, "word": c.word},
         }
         return inputs, result, 0
 
@@ -53,7 +53,7 @@ def run(args, say) -> tuple[dict, dict, int]:
     if args.preference is not None:
         raise UsageError("bijection psi-inverse takes no preference (-p)")
     host = _parse_word(Permutation, "permutation", args.perm)
-    inputs = {"direction": "psi-inverse", "perm": list(host.word), "start": args.start}
+    inputs = {"direction": "psi-inverse", "perm": host.word, "start": args.start}
     comps = components(host)
     blocks = [(b.start, b.end) for b in comps]
     chosen = next((b for b in comps if b.start == args.start), None)
@@ -68,9 +68,9 @@ def run(args, say) -> tuple[dict, dict, int]:
     say(f"start value: {chosen.start}")
     say(f"preference: {format_word(p.entries)}")
     result = {
-        "preference": list(p.entries),
-        "inversion_sequence": list(seq.entries),
+        "preference": p.entries,
+        "inversion_sequence": seq.entries,
         "start_value": chosen.start,
-        "component": {"start": chosen.start, "end": chosen.end, "word": list(chosen.word)},
+        "component": {"start": chosen.start, "end": chosen.end, "word": chosen.word},
     }
     return inputs, result, 0

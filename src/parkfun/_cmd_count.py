@@ -80,11 +80,11 @@ def run(args, say) -> tuple[dict, dict, int]:
 
     if mode != "brute":
         result["formula"] = _formula(args.target, space)
-        say(f"formula: {result['formula']}")
+        say("formula:", result["formula"])
 
     if mode != "formula":
         result["search_space"] = n ** n
-        say(f"search space: {n}^{n} = {result['search_space']} preferences")
+        say(f"search space: {n}^{n} =", result["search_space"], "preferences")
         if args.target == "fpf":
             from .friendship import count_fpf_brute as count_all, enumerate_fpf as list_all
         else:
@@ -93,7 +93,7 @@ def run(args, say) -> tuple[dict, dict, int]:
             result["brute"] = _list_preferences(list_all(space, force=True), args, say, result)
         else:
             result["brute"] = count_all(space, force=True)
-        say(f"brute: {result['brute']}")
+        say("brute:", result["brute"])
 
     if mode == "both":
         result["match"] = result["formula"] == result["brute"]

@@ -28,7 +28,7 @@ def run(args, say) -> tuple[dict, dict, int]:
     mode = "count" if args.count else "list" if args.list else "sets"
     inputs = {
         "graph": args.graph,
-        "outcome": list(perm.word),
+        "outcome": perm.word,
         "mode": mode,
         "force": bool(args.force),
     }
@@ -40,10 +40,10 @@ def run(args, say) -> tuple[dict, dict, int]:
             chi = structure.fibre_characterisation(perm, graph)
             for car, (lo, hi) in enumerate(chi.spot_sets, start=1):
                 say(f"S_{car} = {format_interval(lo, hi)}")
-            return inputs, {"spot_sets": [list(s) for s in chi.spot_sets]}, 0
+            return inputs, {"spot_sets": chi.spot_sets}, 0
         if mode == "count":
             size = structure.fibre_size(perm, graph)
-            say(f"fibre size: {size}")
+            say("fibre size:", size)
             return inputs, {"fibre_size": size}, 0
         result: dict = {}
         prefs = structure.enumerate_fibre(perm, graph, force=args.force)
@@ -52,5 +52,5 @@ def run(args, say) -> tuple[dict, dict, int]:
         say(f"error: {e}")
         return inputs, {"error": str(e)}, 1
     result["count"] = count
-    say(f"count: {count}")
+    say("count:", count)
     return inputs, result, 0

@@ -21,7 +21,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run(args, say) -> tuple[dict, dict, int]:
     p = _parse_word(ParkingPreference, "preference", args.preference)
-    inputs = {"mode": args.mode, "preference": list(p.entries), "graph": args.graph}
+    inputs = {"mode": args.mode, "preference": p.entries, "graph": args.graph}
     if args.mode == "friendship":
         if args.graph is None:
             raise UsageError("friendship mode needs a graph (-g)")
@@ -42,8 +42,8 @@ def run(args, say) -> tuple[dict, dict, int]:
     say(f"total displacement: {total}")
     result = {
         "status": "success",
-        "outcome": list(res.outcome.word),
-        "displacement": list(res.displacement),
+        "outcome": res.outcome.word,
+        "displacement": res.displacement,
         "total_displacement": total,
     }
     return inputs, result, 0

@@ -7,10 +7,12 @@ failed checks, non-Hamiltonian outcome), 2 usage error.
 
 Each subcommand has a private module of its own, `_cmd_<name>` (`-` read as
 `_`), holding its arguments, `add_arguments(parser)`, and its handler,
-`run(args, say)`. The parser registers every subcommand's name and help,
-but imports and fills in only the subcommand named on the command line, so a
-call compiles and builds only its own part of the CLI. This module keeps
-`main` and the input helpers that several subcommands share.
+`run(args, say)`. A handler hands over values, the library's own ints and
+tuples, as `say`'s arguments and in the report, and only the writer renders
+them: `print` in text mode, `json.dumps` under `--json`, whose `say` is silent.
+The parser registers every subcommand's name and help, but imports and fills in
+only the subcommand named on the command line, so a call compiles and builds
+only its own part of the CLI. This module keeps `main` and the shared helpers.
 
 A subcommand module imports at its top every module that every call of it
 loads. An import stays in a function only where an argument chooses the
@@ -82,10 +84,8 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
         graph = fig4_graph()
         return graph.n, lambda: graph
     if spec.startswith("file:"):
-        from pathlib import Path
-
-        with _as_usage_error("cannot read graph file"):
-            text = Path(spec[len("file:"):]).read_text()
+        with _as_usage_error("cannot read graph file"), open(spec[len("file:"):], encoding="utf-8") as f:
+            text = f.read()
         with _as_usage_error("bad graph file"):
             n = parse_graph_header(text)
         return n, _as_usage_error("bad graph file")(lambda: parse_graph_text(text))
@@ -102,16 +102,16 @@ def _graph_spec(spec: str) -> tuple[int, Callable[[], FriendshipGraph]]:
 
 
 def _list_preferences(prefs: Iterable[ParkingPreference], args, say, result: dict) -> int:
-    """Print each preference as it is yielded and return how many there were;
-    only --json keeps the listing, as result["preferences"] for the report."""
+    """How many preferences there were. --json keeps their words, as
+    result["preferences"] for the report; text mode prints each as it is yielded."""
+    if args.json:
+        result["preferences"] = [p.entries for p in prefs]
+        return len(result["preferences"])
     from .notation import format_word
 
-    kept = result.setdefault("preferences", []) if args.json else None
     count = 0
     for count, p in enumerate(prefs, start=1):
         say(format_word(p.entries))
-        if kept is not None:
-            kept.append(list(p.entries))
     return count
 
 
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
             # UnsupportedOperation, an OSError and ValueError.
             if not isinstance(e, BrokenPipeError):
                 print(f"error: {e}", file=sys.stderr)
-            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
             return 1
     return code

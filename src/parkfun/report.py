@@ -36,7 +36,7 @@ class RunReport:
 def report_schema() -> dict:
     from importlib import resources
 
-    text = resources.files("parkfun").joinpath("schemas/runreport.schema.json").read_text()
+    text = resources.files("parkfun").joinpath("schemas/runreport.schema.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 

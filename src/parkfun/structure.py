@@ -79,6 +79,11 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
     the fibre size is carried down the DFS as a running product. The run's
     previous-greater jumps pg[0..k] are kept in step with the path: placing
     word[k] sets pg[k], and a backtrack leaves it to be overwritten.
+
+    On two or more vertices, a vertex of degree at most 1 ends every
+    Hamiltonian path: when there are two, every path starts at one of them,
+    and when there are three or more, no path exists. Only then are the
+    starts narrowed, so the words still come in lexicographic order.
     """
     n = graph.n
     neighbors = graph._neighbors
@@ -86,8 +91,10 @@ def _leaves(graph: FriendshipGraph) -> Iterator[tuple[tuple[int, ...], int]]:
     used = [False] * (n + 1)
     path: list[int] = []
     pg = [-1] * n
+    ends = [v for v in range(1, n + 1) if len(neighbors[v]) <= 1]
+    roots = ends if len(ends) == 2 else () if len(ends) > 2 else range(1, n + 1)
     # stack[k]: the untried candidates for path[k], and the product over path[:k]
-    stack = [(iter(range(1, n + 1)), 1)]
+    stack = [(iter(roots), 1)]
     while stack:
         candidates, size = stack[-1]
         for v in candidates:
@@ -166,10 +173,10 @@ def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> boo
     smaller than i that is not a friend of i: car i can then never use
     j's spot, because a hostile earlier car guards it.
     """
-    _require_label("value", j, perm.n)
+    k = inverse_position(perm, j) - 1
     _require_label("value", i, perm.n)
     _require_same_size(perm, graph)
-    return _blocks(perm.word, perm.word.index(j), i, graph._neighbors[i])
+    return _blocks(perm.word, k, i, graph._neighbors[i])
 
 
 def blocking_sequence(i: int, perm: Permutation, graph: FriendshipGraph) -> BlockingSequence:

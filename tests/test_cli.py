@@ -15,6 +15,9 @@ from parkfun.report import validate_report
 
 # A report whose elapsed time is the JSON text `number`.
 NUMBER_REPORT = '{"command": "x", "inputs": {}, "result": {}, "elapsed_ms": %s}'
+# Interpreter flags under which reading or opening a file as text without an
+# encoding fails: `-X warn_default_encoding` warns of it, `-W error` raises.
+STRICT_ENCODING = ["-X", "utf8=0", "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
 
 
 def _word(*parts) -> str:
@@ -559,12 +562,60 @@ class TestListPreferences:
         assert result == {}
 
     def test_json_mode_keeps_the_listing(self):
+        """--json keeps each swept word, the preference's own tuple, and
+        hands nothing to `say`, which would only throw it away."""
         lines, result = [], {}
-        count = cli._list_preferences(
-            self.listing(lines, 2), argparse.Namespace(json=True), lines.append, result
-        )
-        assert count == 2
-        assert result == {"preferences": [[1], [1, 1]]}
+        prefs = [ParkingPreference((1,)), ParkingPreference((1, 1))]
+        count = cli._list_preferences(iter(prefs), argparse.Namespace(json=True), lines.append, result)
+        assert (count, lines) == (2, [])
+        assert result == {"preferences": [(1,), (1, 1)]}
+        assert all(kept is p.entries for kept, p in zip(result["preferences"], prefs))
+
+
+class _Total(int):
+    """An int that counts its own conversions to text."""
+
+    conversions = 0
+
+    def __str__(self):
+        _Total.conversions += 1
+        return int.__repr__(self)
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        # int.__format__ would call __str__ again for an empty spec.
+        _Total.conversions += 1
+        return format(int(self), spec)
+
+
+@pytest.mark.parametrize(
+    "argv, totals",
+    [
+        (["count", "cyclic", "-n", "4", "--formula"], 1),
+        (["count", "fpf", "-g", "cycle:4", "--brute"], 1),
+        (["count", "fpf", "-g", "cycle:4", "--both"], 2),
+        (["fibre", "-g", "cycle:4", "-o", "1,2,3,4", "--count"], 1),
+    ],
+    ids=["formula", "brute", "both", "fibre"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_each_total_is_converted_to_text_once(capsys, monkeypatch, argv, totals, json_flag):
+    """A count reaches text once, in the writer: `print` in text mode, and
+    in --json mode `json.dumps`, whose C encoder converts an int subclass
+    with `int.__repr__` and so calls none of `_Total`'s methods."""
+    from parkfun import _cmd_count
+
+    monkeypatch.setattr(_cmd_count, "_formula", lambda target, space: _Total(65))
+    monkeypatch.setattr(friendship, "count_fpf_brute", lambda graph, force: _Total(65))
+    monkeypatch.setattr(structure, "fibre_size", lambda perm, graph: _Total(65))
+    monkeypatch.setattr(_Total, "conversions", 0)
+    code, out, _ = run(capsys, *argv, *json_flag)
+    assert code == 0
+    assert _Total.conversions == (0 if json_flag else totals)
+    # The report's elapsed time could hold the digits too.
+    shown = json.dumps(json.loads(out)["result"]) if json_flag else out
+    assert shown.count("65") == totals
 
 
 class TestBijection:
@@ -813,13 +864,35 @@ def test_closed_stdout_exits_1_without_a_traceback(json_flag):
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_failed_stdout_write_exits_1_with_one_error_line(json_flag):
     """A write to stdout that fails for another reason than a closed pipe,
-    here a full device, is named on stderr in one line, not a traceback."""
+    here a full device, is named on stderr in one line, not a traceback.
+    The devnull that then takes what is still buffered is opened in binary,
+    with no encoding to fall back on."""
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "parkfun", "park", "classical", "-p", "1", *json_flag],
+            [sys.executable, *STRICT_ENCODING, "-m", "parkfun", "park", "classical", "-p", "1", *json_flag],
             stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
         )
     assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["-m", "parkfun", "count", "fpf", "-g", "file:{graph}"], "formula: 7\n"),
+        (["-c", "from parkfun.report import report_schema; print(report_schema()['type'])"], "object\n"),
+    ],
+    ids=["graph-file", "schema"],
+)
+def test_text_files_are_read_without_the_locale(tmp_path, argv, expected):
+    """A graph file is read as UTF-8 under an ASCII locale, which refused
+    its "café" comment, and so is the bundled schema."""
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes("n 3\n# café\n1 2\n2 3\n".encode())
+    proc = subprocess.run(
+        [sys.executable, *STRICT_ENCODING, *(arg.format(graph=graph) for arg in argv)],
+        capture_output=True, env={**os.environ, "LC_ALL": "C"}, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 class TestValidateReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkfun import cycle, structure
+from parkfun import core, cycle, structure
 from parkfun import (
     NotHamiltonianPath,
     Permutation,
@@ -116,6 +116,9 @@ class TestIsBlocker:
                 is_blocker(j, i, PI_FIG4, FIG4)
         with pytest.raises(ValueError, match="8 entries but the graph has 4 vertices"):
             is_blocker(8, 4, PI_FIG4, c4)
+        # With both values out of range, the blocking value j is named.
+        with pytest.raises(ValueError, match=r"^value 99 is outside \[1, 4\]$"):
+            is_blocker(99, 0, Permutation((1, 2, 3, 4)), c4)
 
 
 class TestBlockingSequence:
@@ -335,21 +338,23 @@ class TestTotalCount:
 
     @pytest.mark.parametrize(
         "kind, n, tests",
-        [("path", 200, 19_900), ("cycle", 200, 78_807), ("complete", 7, 11_327)],
+        [("path", 200, 199), ("cycle", 200, 78_807), ("complete", 7, 11_327)],
     )
     def test_neighbour_tests_per_total(self, monkeypatch, kind, n, tests):
         """Work, not time: the number of neighbour tests a total makes is the
         same on any machine. A scan stepping left one value at a time made
-        1,353,200, 2,765,108 and 31,003 of them."""
+        1,353,200, 2,765,108 and 31,003 of them, and a DFS that started the
+        path graph at every vertex 19,900."""
         assert _calls_per_total(monkeypatch, "_blocks", graph_generator(kind, n)) == tests
 
     @pytest.mark.parametrize(
         "kind, n, appends",
-        [("path", 100, 10_000), ("cycle", 200, 79_800), ("complete", 7, 13_699)],
+        [("path", 100, 200), ("cycle", 200, 79_800), ("complete", 7, 13_699)],
     )
     def test_dfs_appends_per_total(self, monkeypatch, kind, n, appends):
-        """Work, not time: the DFS scans one blocking run per append, n² of
-        them on a path graph, n(2n - 1) on a cycle and about e·n! on K_n."""
+        """Work, not time: the DFS scans one blocking run per append, 2n of
+        them on a path graph, which it starts at its two ends alone (n² from
+        every vertex), n(2n - 1) on a cycle and about e·n! on K_n."""
         assert _calls_per_total(monkeypatch, "_run_start", graph_generator(kind, n)) == appends
 
     @pytest.mark.parametrize(
@@ -457,3 +462,49 @@ def test_leaves_match_filtered_permutations(graph):
             runs = [k - _plain_run_start(k, perm, graph) + 1 for k in range(graph.n)]
             expected.append((word, prod(runs)))
     assert list(structure._leaves(graph)) == expected
+
+
+def _leaves_from_every_vertex(graph):
+    """The reference for `structure._leaves`: the same DFS, started at every
+    vertex whatever the degrees."""
+    n = graph.n
+    neighbors = graph._neighbors
+    ordered = [()] + [tuple(sorted(neighbors[v])) for v in range(1, n + 1)]
+    used = [False] * (n + 1)
+    path = []
+    pg = [-1] * n
+    stack = [(iter(range(1, n + 1)), 1)]
+    while stack:
+        candidates, size = stack[-1]
+        for v in candidates:
+            if not used[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
+            continue
+        k = len(path)
+        path.append(v)
+        size *= k - structure._run_start(path, k, pg, neighbors) + 1
+        if k + 1 == n:
+            yield tuple(path), size
+            path.pop()
+        else:
+            used[v] = True
+            stack.append((iter(ordered[v]), size))
+
+
+def test_leaves_match_the_every_vertex_dfs():
+    """Starting only at the vertices of degree at most 1, when there are
+    two, or nowhere, when there are more, loses and reorders no path: on
+    every labelled graph up to 4 vertices and on seeded random graphs up to 7,
+    from sparse to dense."""
+    graphs = [graph for n in range(1, 5) for graph in core.all_labelled_graphs(n)]
+    rng = random.Random(18)
+    for _ in range(300):
+        n, density = rng.randint(5, 7), rng.random()
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        graphs.append(make_graph(n, [e for e in pairs if rng.random() < density]))
+    for graph in graphs:
+        assert list(structure._leaves(graph)) == list(_leaves_from_every_vertex(graph)), graph
