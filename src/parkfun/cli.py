@@ -7,9 +7,10 @@ failed checks, non-Hamiltonian outcome), 2 usage error.
 
 Each subcommand has a private module of its own, `_cmd_<name>` (`-` read as
 `_`), holding its arguments, `add_arguments(parser)`, and its handler,
-`run(args, say)`. A handler hands over values, the library's own ints and
-tuples, as `say`'s arguments and in the report, and only the writer renders
-them: `print` in text mode, `json.dumps` under `--json`, whose `say` is silent.
+`run(args, say)`. A handler hands the report the library's own ints and
+tuples, and `say` each total of `count` and `fibre` as an int, and the writer
+renders them: `print` in text mode, `json.dumps` under `--json`, whose `say`
+is silent. Each line that shows a word the handler builds with `notation`.
 The parser registers every subcommand's name and help, but imports and fills in
 only the subcommand named on the command line, so a call compiles and builds
 only its own part of the CLI. This module keeps `main` and the shared helpers.
@@ -45,11 +46,14 @@ class UsageError(ValueError):
 @contextlib.contextmanager
 def _as_usage_error(what: str) -> Iterator[None]:
     """Report a ValueError or OSError raised in the block as a usage error
-    about `what`. UsageError is a ValueError, so nothing in the block may
-    raise one. As a decorator it wraps a function the same way."""
+    about `what`, with the file an OSError names quoted to a bound. UsageError
+    is a ValueError, so nothing in the block may raise one. As a decorator it
+    wraps a function the same way."""
     try:
         yield
     except (ValueError, OSError) as e:
+        if getattr(e, "filename", None) is not None:
+            e = f"[Errno {e.errno}] {e.strerror}: {_quote(e.filename)}"
         raise UsageError(f"{what}: {e}") from None
 
 

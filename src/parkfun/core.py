@@ -30,31 +30,29 @@ def _require_label(what: str, v: int, n: int) -> None:
 
 
 class _Value:
-    """Immutable value: repr over `_fields`, equality (within one class) and
-    hash over `_key()`, the fields unless a class holds them in another
-    form. `__init__` stores the fields in `_fields` order, the order in
-    which copying and unpickling pass them to the constructor again, so
-    every copy passes the constructor's checks."""
+    """Immutable value. `__init__` stores its `__slots__`, and equality
+    (within one class) and hash read them; repr reads `_fields`, the same
+    names unless a class holds them in another form, and copying and
+    unpickling pass `_fields` to the constructor again, so every copy
+    passes the constructor's checks."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init__(self, *values):
-        for field, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, field, value)
+        for slot, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, slot, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    _key = _values
+    def _values(self, names=None) -> tuple:
+        return tuple(getattr(self, f) for f in names or self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._values(self.__slots__) == other._values(self.__slots__)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._values(self.__slots__))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -159,15 +157,14 @@ class FriendshipGraph(_Value):
     An edge {u, v} declares that cars u and v may occupy adjacent spots.
     The neighbour sets are the graph: `_neighbors[v]` holds the neighbours
     of v (slot 0 is unused), so adjacency queries are O(1), and equality and
-    hash read them. `edges`, each edge as its (min, max) pair, is derived
-    from them.
+    hash read them and `n`. `edges`, each edge as its (min, max) pair, is
+    derived from them, and repr and copies read it.
     """
 
     __slots__ = ("n", "_neighbors")
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "n", n)
         if type(n) is not int:
             raise ValueError(f"vertex count {_shown(n)} is not an integer")
         if n < 1:
@@ -186,10 +183,7 @@ class FriendshipGraph(_Value):
         while touched:
             v, friends = touched.popitem()
             neighbors[v] = frozenset(friends)
-        object.__setattr__(self, "_neighbors", tuple(neighbors))
-
-    def _key(self) -> tuple:
-        return self.n, self._neighbors
+        super().__init__(n, tuple(neighbors))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -20,20 +20,18 @@ _MAX_DIGITS = 4300
 _QUOTE_CHARS = 40
 
 
+def _clip(text: str, size: str = "", render: Callable[[str], str] = str) -> str:
+    """`render(text)`, or past _QUOTE_CHARS characters `render` of its start
+    and `size`, by default its length, so that a refusal never repeats long
+    outside text."""
+    if len(text) <= _QUOTE_CHARS:
+        return render(text)
+    return f"{render(text[:_QUOTE_CHARS])}... ({size or f'{len(text)} characters'})"
+
+
 def _quote(text: str) -> str:
-    """`repr(text)`, or past _QUOTE_CHARS characters the repr of its start and
-    its length, so that a refusal never repeats long outside text."""
-    if len(text) <= _QUOTE_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
-
-
-def _clip(text: str, size: str = "") -> str:
-    """`text` unquoted, or past _QUOTE_CHARS characters its start and `size`,
-    by default its length."""
-    if len(text) <= _QUOTE_CHARS:
-        return text
-    return f"{text[:_QUOTE_CHARS]}... ({size or f'{len(text)} characters'})"
+    """`repr(text)`, clipped by `_clip` to its start and its length."""
+    return _clip(text, render=repr)
 
 
 def _clip_word(word: Sequence[int], render: Callable[[Sequence[int]], str] | None = None) -> str:

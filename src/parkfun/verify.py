@@ -19,6 +19,7 @@ from .core import (
     FriendshipGraph,
     ParkingPreference,
     Permutation,
+    _Value,
     all_labelled_graphs,
     graph_generator,
     make_graph,
@@ -33,7 +34,7 @@ from .cycle import (
     expand_cyclic,
 )
 from .friendship import _sweep, brute_fibre_counts
-from .limits import ensure_sweep_within_cap
+from .limits import _shown, ensure_sweep_within_cap
 from .structure import (
     blocking_sequence,
     enumerate_fibre,
@@ -42,11 +43,13 @@ from .structure import (
     total_fpf_count,
 )
 
-class CheckResult:
+class CheckResult(_Value):
+    """One check's outcome: its name, whether it passed, and its detail."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+
     def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+        super().__init__(name, passed, detail)
 
     def __repr__(self) -> str:
         return f"CheckResult({self.name!r}, {self.passed!r}, {self.detail!r})"
@@ -452,7 +455,7 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one named suite (or all of them) and collect check results."""
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+        raise ValueError(f"unknown suite {_shown(suite)}; choose from {SUITE_NAMES}")
 
     results: list[CheckResult] = []
     for name, (run, default) in _SUITES.items():

@@ -239,8 +239,12 @@ class TestHostileSize:
             (["count", "cyclic", "-n", "9" * 5000], None, 5000),
             (["bijection", "psi-inverse", "--perm", "21", "--start", "9" * 5000], None, 5000),
             (["park", "classical", "-p", "9" * 4999 + "0"], None, 5000),
+            (["count", "fpf", "-g", "file:" + "a" * 5000], None, 5000),
         ],
-        ids=["graph-file-edge", "graph-file-header", "graph-family", "count-n", "bijection-start", "compact-word"],
+        ids=[
+            "graph-file-edge", "graph-file-header", "graph-family", "count-n", "bijection-start", "compact-word",
+            "graph-file-path",
+        ],
     )
     def test_refusal_quotes_outside_text_to_a_bound(self, capsys, tmp_path, argv, text, length):
         """A refusal names long outside text by its start and its length,

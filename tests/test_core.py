@@ -43,6 +43,7 @@ from parkfun import (
 from parkfun.core import parse_graph_header
 from parkfun.limits import _shown
 from parkfun.structure import fibre_characterisation
+from parkfun.verify import CheckResult
 
 
 class TestMakePreference:
@@ -398,6 +399,11 @@ VALUES = [
         FibreCharacterisation,
         {"outcome": Permutation((2, 1)), "spot_sets": ((1, 1), (1, 2))},
         "FibreCharacterisation(outcome=Permutation(word=(2, 1)), spot_sets=((1, 1), (1, 2)))",
+    ),
+    (
+        CheckResult,
+        {"name": "cycle n=3", "passed": True, "detail": "6 outcomes"},
+        "CheckResult('cycle n=3', True, '6 outcomes')",
     ),
 ]
 

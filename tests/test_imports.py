@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -306,13 +307,31 @@ def test_no_module_imports_jsonschema():
         assert not {name for name in _imports(path) if name.split(".")[0] == "jsonschema"}, path.name
 
 
+def _scoped(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
+    """Every node under `tree`, with the qualified name of the class or
+    function it sits in ("" at module level)."""
+    todo = [(tree, "")]
+    while todo:
+        node, where = todo.pop()
+        yield node, where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        todo.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
 def test_only_core_sets_fields_past_the_frozen_guard():
-    """`_Value.__init__` stores every value's fields: no other module writes
-    round `_Value.__setattr__` with `object.__setattr__`."""
+    """`_Value.__init__` stores every value's slots, and `_Word._unchecked`
+    the word of a listing's item: nothing else writes round
+    `_Value.__setattr__` with `object.__setattr__`, and no class keys its
+    equality and hash on anything but its slots."""
+    writers, keys = [], []
     for path in PACKAGE.rglob("*.py"):
-        calls = [
-            node for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
-            and isinstance(node.value, ast.Name) and node.value.id == "object"
-        ]
-        assert path.name == "core.py" or not calls, path.name
+        for node, where in _scoped(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                writers.append(f"{path.stem}.{where}")
+            if (isinstance(node, ast.FunctionDef) and node.name == "_key"
+                    or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "_key"):
+                keys.append(f"{path.stem}.{where}")
+    assert sorted(writers) == ["core._Value.__init__", "core._Word._unchecked"]
+    assert keys == []
