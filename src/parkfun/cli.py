@@ -31,7 +31,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
-from .limits import BadCapSetting, SearchCapExceeded, _quote, _read_int
+from .limits import _QUOTE_CHARS, BadCapSetting, SearchCapExceeded, _clip, _quote, _read_int
 
 if TYPE_CHECKING:
     from .core import FriendshipGraph, ParkingPreference
@@ -130,16 +130,32 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals repeat an item of `argv` longer than
+    _QUOTE_CHARS only to a bound: as text by `_clip`, as its repr by `_quote`.
+    Its subparsers are of its class, and are given the same `argv`."""
+
+    def __init__(self, argv: Iterable[str] = (), **kwargs):
+        super().__init__(**kwargs)
+        self._long_args = [arg for arg in argv if len(arg) > _QUOTE_CHARS]
+
+    def error(self, message: str):
+        for arg in self._long_args:
+            message = message.replace(repr(arg), _quote(arg)).replace(arg, _clip(arg))
+        super().error(message)
+
+
+def _build_parser(command: str | None, argv: list[str]) -> argparse.ArgumentParser:
     """A parser that knows every subcommand's name and help, with the
     arguments and handler of `command` alone filled in."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
+        argv,
         prog="parkfun",
         description="Classical, friendship and cyclic parking functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, argv=argv)
         if name == command:
             module = importlib.import_module(f"._cmd_{name.replace('-', '_')}", __package__)
             sp.add_argument("--json", action="store_true", help="emit a RunReport object")
@@ -168,7 +184,7 @@ def main(argv=None) -> int:
     # The top-level parser has no option that takes a value, so the first
     # argument without a leading "-" is the one argparse dispatches on.
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser(command, argv).parse_args(argv)
     say = (lambda *a: None) if args.json else print
     start = time.perf_counter()
     with _ints_in_full():

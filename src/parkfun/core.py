@@ -21,8 +21,25 @@ def _require_ints(values: tuple, what: str) -> None:
         raise ValueError(f"{what} {_shown(bad)} at position {idx} is not an integer")
 
 
+class NotAnInteger(ValueError, TypeError):
+    """A size that is not an int: a ValueError, as every refusal here is, and
+    a TypeError, as Python's own refusal of a float count is."""
+
+
+def _require_size(what: str, n: int, least: int, too_small: str) -> None:
+    """Reject a size (of cars, spots or vertices) that is not an int, as
+    NotAnInteger, or an int below `least`, as ValueError(too_small)."""
+    if type(n) is not int:
+        raise NotAnInteger(f"{what} {_shown(n)} is not an integer")
+    if n < least:
+        raise ValueError(too_small)
+
+
 def _require_label(what: str, v: int, n: int) -> None:
-    """Reject a label (value, vertex, spot, start) that is not an int in [1, n]."""
+    """Reject a label (value, vertex, spot, start) that is not an int in [1, n],
+    and a size n that is not an int as `_require_size` does."""
+    if type(n) is not int:
+        _require_size("n", n, 1, "")
     if type(v) is not int:
         raise ValueError(f"{what} {_shown(v)} is not an integer")
     if not 1 <= v <= n:
@@ -138,6 +155,7 @@ class Permutation(_Word):
 
 
 def identity_permutation(n: int) -> Permutation:
+    _require_size("n", n, 1, "permutation must be non-empty")
     return Permutation(tuple(range(1, n + 1)))
 
 
@@ -149,6 +167,9 @@ def inverse_position(perm: Permutation, value: int) -> int:
     """
     _require_label("value", value, perm.n)
     return perm.word.index(value) + 1
+
+
+_NO_VERTEX = "graph needs at least one vertex"
 
 
 class FriendshipGraph(_Value):
@@ -165,10 +186,7 @@ class FriendshipGraph(_Value):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if type(n) is not int:
-            raise ValueError(f"vertex count {_shown(n)} is not an integer")
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        _require_size("vertex count", n, 1, _NO_VERTEX)
         # Every edge is checked before anything of size n is allocated.
         touched = defaultdict(set)
         for u, v in edges:
@@ -230,24 +248,24 @@ ParkOutcome = Success | Failure
 make_preference = ParkingPreference
 
 
+# Each named graph family: its least size, and the edges of its graph on [n].
+_FAMILIES = {
+    "cycle": (3, lambda n: ((i, i % n + 1) for i in range(1, n + 1))),
+    "complete": (1, lambda n: itertools.combinations(range(1, n + 1), 2)),
+    "path": (1, lambda n: ((i, i + 1) for i in range(1, n))),
+}
+
+
 def graph_generator(family: str, size: int) -> FriendshipGraph:
     """Build a named graph family: "cycle", "complete" or "path".
 
     Cycles need size >= 3; the other families need size >= 1.
     """
-    if family == "cycle":
-        if size < 3:
-            raise ValueError("cycle graphs need at least 3 vertices")
-        return make_graph(size, ((i, i % size + 1) for i in range(1, size + 1)))
-    if family == "complete":
-        if size < 1:
-            raise ValueError("complete graphs need at least 1 vertex")
-        return make_graph(size, itertools.combinations(range(1, size + 1), 2))
-    if family == "path":
-        if size < 1:
-            raise ValueError("path graphs need at least 1 vertex")
-        return make_graph(size, ((i, i + 1) for i in range(1, size)))
-    raise ValueError(f"unknown graph family {_quote(family)}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"unknown graph family {_quote(family)}")
+    least, edges = _FAMILIES[family]
+    _require_size("size", size, least, f"{family} graphs need at least {least} vert{'ices' if least > 1 else 'ex'}")
+    return make_graph(size, edges(size))
 
 
 def _graph_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -296,7 +314,6 @@ def parse_graph_text(text: str) -> FriendshipGraph:
 
 def all_labelled_graphs(n: int) -> Iterator[FriendshipGraph]:
     """Every labelled graph on [n]: all 2^C(n,2) edge subsets."""
+    _require_size("vertex count", n, 1, _NO_VERTEX)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for r in range(len(pairs) + 1):
-        for chosen in itertools.combinations(pairs, r):
-            yield make_graph(n, chosen)
+    yield from (make_graph(n, chosen) for r in range(len(pairs) + 1) for chosen in itertools.combinations(pairs, r))

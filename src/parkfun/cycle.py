@@ -9,12 +9,11 @@ in the decreasing case because there every pair of vertices is adjacent.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from math import factorial
 from typing import Callable, Iterator
 
-from .core import Permutation, _require_label, _Value
+from .core import Permutation, _require_label, _require_size, _Value
 
 
 class Direction(Enum):
@@ -28,9 +27,8 @@ class CyclicOutcome(_Value):
     __slots__ = _fields = ("direction", "start", "n")
 
     def __init__(self, direction: Direction, start: int, n: int):
+        _require_size("n", n, 3, "cycle outcomes need n >= 3")
         super().__init__(direction, start, n)
-        if self.n < 3:
-            raise ValueError("cycle outcomes need n >= 3")
         _require_label("start", self.start, self.n)
 
 
@@ -55,9 +53,7 @@ def expand_cyclic(c: CyclicOutcome) -> Permutation:
 
 def cyclic_outcomes(n: int) -> Iterator[CyclicOutcome]:
     """All 2n rotation outcomes: increasing then decreasing, by start."""
-    # CyclicOutcome refuses n < 3 too, but for n < 1 none is ever built.
-    if n < 3:
-        raise ValueError("cycle outcomes need n >= 3")
+    _require_size("n", n, 3, "cycle outcomes need n >= 3")
     for direction in (Direction.INCREASING, Direction.DECREASING):
         for start in range(1, n + 1):
             yield CyclicOutcome(direction, start, n)
@@ -94,7 +90,7 @@ def _weighted_rotation_sum(n: int, weight: Callable[[int], int]) -> int:
 
     r(1) = n! and r(i+1) = r(i) * i / (n+1-i); Q over all of 1..n is n!, so
     the whole range's T is the sum itself."""
-    return _split_rotation_sum(1, operator.index(n) + 1, n, weight)[2]
+    return _split_rotation_sum(1, n + 1, n, weight)[2]
 
 
 def _increasing_weight(i: int) -> int:
@@ -129,7 +125,6 @@ def cycle_total_count(n: int) -> int:
     >>> cycle_total_count(7)
     8710
     """
-    if n < 3:
-        raise ValueError("the cycle graph needs n >= 3")
+    _require_size("n", n, 3, "the cycle graph needs n >= 3")
     increasing = _exact_div3(_weighted_rotation_sum(n, _increasing_weight))
     return increasing + sum(_decreasing_fibre_size(i, n) for i in range(1, n + 1))

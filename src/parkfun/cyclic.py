@@ -17,7 +17,8 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .core import (
-    ParkingPreference, Permutation, Success, _require_ints, _require_label, _Value, _Word, inverse_position
+    ParkingPreference, Permutation, Success, _require_ints, _require_label, _require_size, _Value, _Word,
+    inverse_position,
 )
 from .cycle import _rotation_size, _weighted_rotation_sum, increasing_word
 from .limits import _clip_word, _shown, ensure_sweep_within_cap
@@ -162,8 +163,7 @@ def cyclic_total_count(n: int) -> int:
     >>> [cyclic_total_count(n) for n in range(1, 6)]
     [1, 3, 10, 40, 192]
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_size("n", n, 1, "need n >= 1")
     return _weighted_rotation_sum(n, lambda i: 1)
 
 
@@ -226,8 +226,7 @@ def _cyclic_sweep(n: int, force: bool) -> Iterator[tuple[int, ...]]:
     from .classical import _all_friends
     from .friendship import _sweep
 
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_size("n", n, 1, "need n >= 1")
     ensure_sweep_within_cap(n, force)
     rotations = {increasing_word(i, n) for i in range(1, n + 1)}
     for entries, word in _sweep(n, _all_friends(n), force=True):

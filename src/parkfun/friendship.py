@@ -24,6 +24,7 @@ from .core import (
     Permutation,
     Success,
     _require_label,
+    _require_size,
     _Word,
 )
 from .limits import ensure_sweep_within_cap
@@ -44,11 +45,12 @@ class LotState(_Word):
 
     @classmethod
     def empty(cls, n: int) -> "LotState":
-        return cls((None,) * n)
+        return cls.with_cars(n, {})
 
     @classmethod
     def with_cars(cls, n: int, cars_at: Mapping[int, int]) -> "LotState":
         """Build a state from a {spot: car} mapping."""
+        _require_size("n", n, 0, "a lot needs n >= 0 spots")
         cells: list[int | None] = [None] * n
         for spot, car in cars_at.items():
             _require_label("spot", spot, n)

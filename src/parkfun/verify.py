@@ -11,7 +11,7 @@ import itertools
 import random
 from collections import Counter
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import cyclic as cyc
 from .classical import _all_friends, is_parking_function
@@ -19,6 +19,7 @@ from .core import (
     FriendshipGraph,
     ParkingPreference,
     Permutation,
+    _require_size,
     _Value,
     all_labelled_graphs,
     graph_generator,
@@ -450,6 +451,14 @@ _SUITES = {
 SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
 
 
+def _sizes(n_values: Iterable[int]) -> Iterator[int]:
+    """`n_values`, each held to the size rule as a suite reaches it, as the
+    cap is."""
+    for n in n_values:
+        _require_size("n", n, 1, "need n >= 1")
+        yield n
+
+
 def run_suite(
     suite: str, n_values: Sequence[int] | None = None, *, force: bool = False
 ) -> list[CheckResult]:
@@ -460,6 +469,6 @@ def run_suite(
     results: list[CheckResult] = []
     for name, (run, default) in _SUITES.items():
         if suite in (name, "all"):
-            sizes = default if n_values is None else n_values
+            sizes = default if n_values is None else _sizes(n_values)
             results.extend(run(sizes, force=force))
     return results

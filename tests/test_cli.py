@@ -263,6 +263,28 @@ class TestHostileSize:
         assert f"{length} characters" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "x" * 5000],
+            ["x" * 5000],
+            ["park", "classical", "-p", "1", "x" * 5000],
+            ["count", "fpf", "-g", "cycle:4", "--" + "x" * 5000],
+        ],
+        ids=["invalid-choice", "invalid-command", "unrecognized-argument", "unrecognized-option"],
+    )
+    def test_argparse_refusal_quotes_the_argument_to_a_bound(self, capsys, argv):
+        """argparse's own refusals name a long argument by its start and
+        its length, after its usage lines, in one last `error:` line."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        lines = err.splitlines()
+        assert [": error: " in line for line in lines].count(True) == 1 and ": error: " in lines[-1]
+        assert f"... ({len(argv[-1])} characters)" in lines[-1] and "x" * 41 not in err
+
+    @pytest.mark.parametrize(
         "argv, stdin, code, text, cap",
         [
             (["bijection", "psi-inverse", "--perm", ",".join(["1"] * 50_000), "--start", "1"], "", 2, None, None),

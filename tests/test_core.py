@@ -21,6 +21,8 @@ from parkfun import (
     Permutation,
     Success,
     all_labelled_graphs,
+    count_cyclic_brute,
+    cycle_total_count,
     cyclic_fibre_size,
     cyclic_outcomes,
     cyclic_total_count,
@@ -40,10 +42,10 @@ from parkfun import (
     make_preference,
     parse_graph_text,
 )
-from parkfun.core import parse_graph_header
-from parkfun.limits import _shown
+from parkfun.core import NotAnInteger, parse_graph_header
+from parkfun.limits import _read_int, _shown
 from parkfun.structure import fibre_characterisation
-from parkfun.verify import CheckResult
+from parkfun.verify import CheckResult, run_suite
 
 
 class TestMakePreference:
@@ -566,6 +568,42 @@ def test_label_not_an_int_message(what, check, v):
     assert str(info.value) == f"{what} {v} is not an integer"
 
 
+# Every public entry point that takes a size (a number of cars, spots or
+# vertices), with the word its message uses for the size.
+SIZE_CHECKS = {
+    "FriendshipGraph": ("vertex count", lambda n: FriendshipGraph(n, ())),
+    "all_labelled_graphs": ("vertex count", lambda n: list(all_labelled_graphs(n))),
+    "graph_generator cycle": ("size", lambda n: graph_generator("cycle", n)),
+    "graph_generator complete": ("size", lambda n: graph_generator("complete", n)),
+    "graph_generator path": ("size", lambda n: graph_generator("path", n)),
+    "identity_permutation": ("n", identity_permutation),
+    "LotState.empty": ("n", LotState.empty),
+    "LotState.with_cars": ("n", lambda n: LotState.with_cars(n, {})),
+    "CyclicOutcome": ("n", lambda n: CyclicOutcome(Direction.INCREASING, 1, n)),
+    "cyclic_outcomes": ("n", lambda n: list(cyclic_outcomes(n))),
+    "increasing_word": ("n", lambda n: increasing_word(1, n)),
+    "decreasing_word": ("n", lambda n: decreasing_word(1, n)),
+    "cycle_total_count": ("n", cycle_total_count),
+    "cyclic_fibre_size": ("n", lambda n: cyclic_fibre_size(1, n)),
+    "cyclic_total_count": ("n", cyclic_total_count),
+    "count_cyclic_brute": ("n", count_cyclic_brute),
+    "enumerate_cyclic_pf": ("n", lambda n: list(enumerate_cyclic_pf(n))),
+    "run_suite": ("n", lambda n: run_suite("bijection", [n])),
+}
+
+
+# A size is an int: a bool or a float is refused even when it equals one, as
+# NotAnInteger, both the ValueError of every refusal and the TypeError of
+# Python's own refusal of a float count.
+@pytest.mark.parametrize("n", [True, 2.0, 2.5])
+@pytest.mark.parametrize("what, check", SIZE_CHECKS.values(), ids=list(SIZE_CHECKS))
+def test_size_not_an_int_message(what, check, n):
+    with pytest.raises(NotAnInteger) as info:
+        check(n)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, TypeError)
+    assert str(info.value) == f"{what} {n} is not an integer"
+
+
 # Each word type: its word, which `n`, `len()` and iteration all read.
 WORDS = [
     ParkingPreference((3, 1, 1, 2)),
@@ -624,6 +662,37 @@ REFUSALS = {
         "positions 0..1 are outside [1, 2]",
     ),
     "cyclic_total_count(0)": (lambda: cyclic_total_count(0), "need n >= 1"),
+    "cycle_total_count(2)": (lambda: cycle_total_count(2), "the cycle graph needs n >= 3"),
+    "outcome on two vertices": (
+        lambda: CyclicOutcome(Direction.INCREASING, 1, 2),
+        "cycle outcomes need n >= 3",
+    ),
+    "identity of no values": (lambda: identity_permutation(0), "permutation must be non-empty"),
+    "all graphs of no vertices": (lambda: list(all_labelled_graphs(0)), "graph needs at least one vertex"),
+    "lot of -1 spots": (lambda: LotState.empty(-1), "a lot needs n >= 0 spots"),
+    "block closed at its first position": (
+        lambda: Component(Permutation((1, 2)), 1, 2),
+        "block 1..2 is not minimal: it closes already at position 1",
+    ),
+    "family not a string": (lambda: graph_generator(["cycle"], 3), "unknown graph family ['cycle']"),
+    # The 40-character bound on repeated text: kept whole at 40, clipped at 41.
+    "family of 40 characters": (
+        lambda: graph_generator("x" * 40, 3),
+        f"unknown graph family '{'x' * 40}'",
+    ),
+    "family of 41 characters": (
+        lambda: graph_generator("x" * 41, 3),
+        f"unknown graph family '{'x' * 40}'... (41 characters)",
+    ),
+    # The digit limit: 4,300 characters are read as a number, 4,301 are not.
+    "vertex of 4300 digits": (
+        lambda: parse_graph_text("n 3\n1 " + "9" * 4300),
+        f"vertex {'9' * 40}... (4300 characters) is outside [1, 3]",
+    ),
+    "number of 4301 characters": (
+        lambda: _read_int("9" * 4301, "", lambda: "not read by length"),
+        "a number of 4301 characters is past the 4300-digit limit",
+    ),
     "run past its target": (
         lambda: BlockingSequence((1, 2), 1),
         "blocking sequence must end at its target",

@@ -188,6 +188,15 @@ class TestEnumerateFpf:
         with pytest.raises(BadCapSetting):
             ensure_sweep_within_cap(NoPower(2_000_000))
 
+    @pytest.mark.parametrize("n, power", [(1720, 5565), (1721, 5177)])
+    def test_n_to_the_n_is_built_up_to_the_stand_in_threshold(self, monkeypatch, n, power):
+        # 1720 * floor(log2 1720) is 17,200 exactly, the last n whose n ** n
+        # is built; 1721's refusal names the power of two standing in for it.
+        monkeypatch.delenv("PARKFUN_BRUTE_CAP", raising=False)
+        with pytest.raises(SearchCapExceeded) as info:
+            ensure_sweep_within_cap(n)
+        assert str(info.value).startswith(f"search space of more than 10^{power} preferences ")
+
     def test_size_past_40_digits_is_named_by_the_largest_power_of_ten_below_it(self):
         powers = [10**k for k in range(4302)]
         sizes = [p + d for p in powers[40:4301] for d in (0, 1)]

@@ -335,3 +335,18 @@ def test_only_core_sets_fields_past_the_frozen_guard():
                 keys.append(f"{path.stem}.{where}")
     assert sorted(writers) == ["core._Value.__init__", "core._Word._unchecked"]
     assert keys == []
+
+
+def test_only_core_states_the_int_rule():
+    """A label or a size is an int, held so by `_require_ints`,
+    `_require_label` and `_require_size` alone: no other function tests
+    `type(...) is not int`."""
+    checks = []
+    for path in PACKAGE.rglob("*.py"):
+        for node, where in _scoped(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot)
+                    and isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name)
+                    and node.left.func.id == "type"
+                    and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id == "int"):
+                checks.append(f"{path.stem}.{where}")
+    assert sorted(set(checks)) == ["core._require_ints", "core._require_label", "core._require_size"]

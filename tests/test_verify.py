@@ -13,6 +13,7 @@ from parkfun import (
     graph_generator,
     verify,
 )
+from parkfun.core import NotAnInteger
 from parkfun.limits import SearchCapExceeded
 from parkfun.verify import (
     N3_REFERENCE_TABLE,
@@ -334,6 +335,23 @@ def test_run_suite_unknown():
     with pytest.raises(ValueError) as info:
         run_suite("x" * 100_000)
     assert str(info.value).startswith("unknown suite 'xxx") and len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "suite, n, error, message",
+    [
+        ("bijection", True, NotAnInteger, "n True is not an integer"),
+        ("props", 4.0, NotAnInteger, "n 4.0 is not an integer"),
+        ("cycle", 4.0, NotAnInteger, "n 4.0 is not an integer"),
+        ("bijection", 4.0, NotAnInteger, "n 4.0 is not an integer"),
+        ("all", 2.5, NotAnInteger, "n 2.5 is not an integer"),
+        ("cycle", 0, ValueError, "need n >= 1"),
+    ],
+)
+def test_run_suite_holds_each_n_to_the_size_rule(suite, n, error, message):
+    with pytest.raises(error) as info:
+        run_suite(suite, [n])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
