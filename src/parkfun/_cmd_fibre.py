@@ -7,8 +7,7 @@ import argparse
 
 from . import structure
 from .cli import UsageError, _graph_spec, _list_preferences, _parse_word
-from .core import Permutation
-from .limits import _shown
+from .core import Permutation, _require_order
 from .notation import format_interval
 
 
@@ -32,8 +31,7 @@ def run(args, say) -> tuple[dict, dict, int]:
         "mode": mode,
         "force": bool(args.force),
     }
-    if perm.n != n:
-        raise UsageError(f"outcome has {perm.n} entries but the graph has {_shown(n)} vertices")
+    _require_order("outcome", perm.n, "entries", n, UsageError)
     graph = build()
     try:
         if mode == "sets":

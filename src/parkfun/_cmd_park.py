@@ -7,9 +7,8 @@ import argparse
 
 from .classical import classical_park, total_displacement
 from .cli import UsageError, _graph_spec, _parse_word
-from .core import Failure, ParkingPreference
+from .core import Failure, ParkingPreference, _require_order
 from .friendship import friendship_park
-from .limits import _shown
 from .notation import format_word
 
 
@@ -26,8 +25,7 @@ def run(args, say) -> tuple[dict, dict, int]:
         if args.graph is None:
             raise UsageError("friendship mode needs a graph (-g)")
         n, build = _graph_spec(args.graph)
-        if n != p.n:
-            raise UsageError(f"preference has {p.n} cars but the graph has {_shown(n)} vertices")
+        _require_order("preference", p.n, "cars", n, UsageError)
         res = friendship_park(p, build())
     else:
         if args.graph is not None:

@@ -35,6 +35,13 @@ def _require_size(what: str, n: int, least: int, too_small: str) -> None:
         raise ValueError(too_small)
 
 
+def _require_order(what: str, count: int, unit: str, n: int, error=ValueError) -> None:
+    """Reject a word (a preference, an outcome, a lot) whose `count` letters
+    are not one per vertex of a graph on `n` vertices, as `error`."""
+    if count != n:
+        raise error(f"{what} has {count} {unit} but the graph has {_shown(n)} vertices")
+
+
 def _require_label(what: str, v: int, n: int) -> None:
     """Reject a label (value, vertex, spot, start) that is not an int in [1, n],
     and a size n that is not an int as `_require_size` does."""
@@ -262,7 +269,7 @@ def graph_generator(family: str, size: int) -> FriendshipGraph:
     Cycles need size >= 3; the other families need size >= 1.
     """
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise ValueError(f"unknown graph family {_quote(family)}")
+        raise ValueError(f"unknown graph family {_quote(family) if isinstance(family, str) else _shown(family)}")
     least, edges = _FAMILIES[family]
     _require_size("size", size, least, f"{family} graphs need at least {least} vert{'ices' if least > 1 else 'ex'}")
     return make_graph(size, edges(size))

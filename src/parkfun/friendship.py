@@ -24,6 +24,7 @@ from .core import (
     Permutation,
     Success,
     _require_label,
+    _require_order,
     _require_size,
     _Word,
 )
@@ -76,8 +77,7 @@ def is_available(state: LotState, graph: FriendshipGraph, car: int, spot: int) -
     a friend of `car`; spots 0 and n+1 count as always empty. This is the
     reference statement of the rule, which `_run` inlines for speed.
     """
-    if state.n != graph.n:
-        raise ValueError(f"the lot has {state.n} spots but the graph has {graph.n} vertices")
+    _require_order("the lot", state.n, "spots", graph.n)
     _require_label("spot", spot, state.n)
     friends = graph.neighbors(car)
     occ = (None,) + state.occupancy + (None,)
@@ -128,8 +128,7 @@ def _park(entries: Sequence[int], n: int, neighbor_sets) -> ParkOutcome:
 
 def friendship_park(p: ParkingPreference, graph: FriendshipGraph) -> ParkOutcome:
     """Simulate the friendship process for `p` on `graph`."""
-    if graph.n != p.n:
-        raise ValueError(f"preference has {p.n} cars but the graph has {graph.n} vertices")
+    _require_order("preference", p.n, "cars", graph.n)
     return _park(p.entries, p.n, graph._neighbors)
 
 

@@ -19,6 +19,7 @@ from .core import (
     ParkingPreference,
     Permutation,
     _require_label,
+    _require_order,
     _Value,
     inverse_position,
     make_graph,
@@ -161,9 +162,13 @@ def _run_start(word: Sequence[int], k: int, pg: list[int], neighbors) -> int:
     return j + 1
 
 
-def _require_same_size(perm: Permutation, graph: FriendshipGraph) -> None:
-    if perm.n != graph.n:
-        raise ValueError(f"permutation has {perm.n} entries but the graph has {graph.n} vertices")
+def _run_starts(word: Sequence[int], neighbors) -> Iterator[int]:
+    """The start of the maximal blocking run ending at each index of `word`,
+    in order: one scan left to right, so each index jumps over the runs found
+    before it."""
+    pg = [-1] * len(word)
+    for k in range(len(word)):
+        yield _run_start(word, k, pg, neighbors)
 
 
 def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> bool:
@@ -175,7 +180,7 @@ def is_blocker(j: int, i: int, perm: Permutation, graph: FriendshipGraph) -> boo
     """
     k = inverse_position(perm, j) - 1
     _require_label("value", i, perm.n)
-    _require_same_size(perm, graph)
+    _require_order("permutation", perm.n, "entries", graph.n)
     return _blocks(perm.word, k, i, graph._neighbors[i])
 
 
@@ -183,11 +188,9 @@ def blocking_sequence(i: int, perm: Permutation, graph: FriendshipGraph) -> Bloc
     """Scan left from i's position while the blocker predicate holds. The
     runs ending before i's position are found on the way: they set the jumps
     that i's scan takes."""
-    _require_same_size(perm, graph)
+    _require_order("permutation", perm.n, "entries", graph.n)
     prefix = perm.word[: inverse_position(perm, i)]
-    pg = [-1] * len(prefix)
-    for k in range(len(prefix)):
-        start = _run_start(prefix, k, pg, graph._neighbors)
+    *_, start = _run_starts(prefix, graph._neighbors)
     return BlockingSequence(prefix[start:], i)
 
 
@@ -203,10 +206,9 @@ def fibre_characterisation(perm: Permutation, graph: FriendshipGraph) -> FibreCh
             f"{_clip_word(perm.word)} is not a Hamiltonian path of the graph"
         )
     word = perm.word
-    pg = [-1] * perm.n
     sets: list[tuple[int, int]] = [(0, 0)] * perm.n
-    for k, i in enumerate(word):
-        sets[i - 1] = (_run_start(word, k, pg, graph._neighbors) + 1, k + 1)
+    for k, (i, start) in enumerate(zip(word, _run_starts(word, graph._neighbors))):
+        sets[i - 1] = (start + 1, k + 1)
     return FibreCharacterisation(perm, tuple(sets))
 
 

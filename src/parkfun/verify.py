@@ -11,7 +11,7 @@ import itertools
 import random
 from collections import Counter
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from . import cyclic as cyc
 from .classical import _all_friends, is_parking_function
@@ -451,24 +451,24 @@ _SUITES = {
 SUITE_NAMES = ("props", "table1", "cycle", "bijection", "all")
 
 
-def _sizes(n_values: Iterable[int]) -> Iterator[int]:
-    """`n_values`, each held to the size rule as a suite reaches it, as the
-    cap is."""
-    for n in n_values:
-        _require_size("n", n, 1, "need n >= 1")
-        yield n
-
-
 def run_suite(
-    suite: str, n_values: Sequence[int] | None = None, *, force: bool = False
+    suite: str, n_values: Iterable[int] | None = None, *, force: bool = False
 ) -> list[CheckResult]:
-    """Run one named suite (or all of them) and collect check results."""
+    """Run one named suite (or all of them) and collect check results.
+
+    Every given n is held to the size rule, with least 1, before any suite
+    runs: a range by its two ends, without iterating it, and any other
+    iterable read once.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {_shown(suite)}; choose from {SUITE_NAMES}")
+    sizes = n_values if n_values is None or isinstance(n_values, range) else tuple(n_values)
+    if sizes:  # bool(), not len(): a range past sys.maxsize has no len()
+        for n in (sizes[0], sizes[-1]) if isinstance(sizes, range) else sizes:
+            _require_size("n", n, 1, "need n >= 1")
 
     results: list[CheckResult] = []
     for name, (run, default) in _SUITES.items():
         if suite in (name, "all"):
-            sizes = default if n_values is None else _sizes(n_values)
-            results.extend(run(sizes, force=force))
+            results.extend(run(default if sizes is None else sizes, force=force))
     return results

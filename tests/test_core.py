@@ -675,6 +675,8 @@ REFUSALS = {
         "block 1..2 is not minimal: it closes already at position 1",
     ),
     "family not a string": (lambda: graph_generator(["cycle"], 3), "unknown graph family ['cycle']"),
+    "family an int": (lambda: graph_generator(5, 3), "unknown graph family 5"),
+    "family None": (lambda: graph_generator(None, 3), "unknown graph family None"),
     # The 40-character bound on repeated text: kept whole at 40, clipped at 41.
     "family of 40 characters": (
         lambda: graph_generator("x" * 40, 3),

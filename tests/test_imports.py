@@ -350,3 +350,21 @@ def test_only_core_states_the_int_rule():
                     and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id == "int"):
                 checks.append(f"{path.stem}.{where}")
     assert sorted(set(checks)) == ["core._require_ints", "core._require_label", "core._require_size"]
+
+
+def test_only_core_states_the_order_rule():
+    """A word meets a graph with one letter per vertex, said by
+    `core._require_order` alone; and the previous-greater jumps of a
+    blocking-run scan live in `structure._run_starts`, which scans a whole
+    word, and in the DFS of `structure._leaves`, which backtracks."""
+    messages, jumps = [], []
+    for path in PACKAGE.rglob("*.py"):
+        for node, where in _scoped(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "but the graph has" in node.value):
+                messages.append(f"{path.stem}.{where}")
+            if (isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "pg"
+                    and ast.unparse(node.value).startswith("[-1] *")):
+                jumps.append(f"{path.stem}.{where}")
+    assert messages == ["core._require_order"]
+    assert sorted(jumps) == ["structure._leaves", "structure._run_starts"]

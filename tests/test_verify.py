@@ -355,6 +355,29 @@ def test_run_suite_holds_each_n_to_the_size_rule(suite, n, error, message):
 
 
 @pytest.mark.parametrize(
+    "suite, n_values, error, message",
+    [
+        ("all", [3, 2.5], NotAnInteger, "n 2.5 is not an integer"),
+        ("table1", [2.5, -7], NotAnInteger, "n 2.5 is not an integer"),
+        ("props", iter([4, 0]), ValueError, "need n >= 1"),
+        # A range is held by its two ends: one past sys.maxsize has no len().
+        ("cycle", range(-5, 10 ** 20), ValueError, "need n >= 1"),
+        ("bijection", range(3, -1, -1), ValueError, "need n >= 1"),
+    ],
+    ids=["all", "table1", "iterator", "long-range", "descending-range"],
+)
+def test_run_suite_checks_every_n_before_any_suite_runs(monkeypatch, suite, n_values, error, message):
+    def boom(*args, **kwargs):
+        raise AssertionError("a suite ran before every n was checked")
+
+    for name in ("_graph_corpus", "n3_reference_rows", "ensure_sweep_within_cap"):
+        monkeypatch.setattr(verify, name, boom)
+    with pytest.raises(error) as info:
+        run_suite(suite, n_values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "suite", [cycle_suite, props_suite, bijection_suite], ids=["cycle", "props", "bijection"]
 )
 def test_suites_respect_cap(monkeypatch, suite):
