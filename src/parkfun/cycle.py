@@ -14,6 +14,7 @@ from math import factorial
 from typing import Callable, Iterator
 
 from .core import Permutation, _require_label, _require_size, _Value
+from .limits import _shown
 
 
 class Direction(Enum):
@@ -28,6 +29,8 @@ class CyclicOutcome(_Value):
 
     def __init__(self, direction: Direction, start: int, n: int):
         _require_size("n", n, 3, "cycle outcomes need n >= 3")
+        if not isinstance(direction, Direction):
+            raise ValueError(f"direction {_shown(direction)} is not a Direction")
         super().__init__(direction, start, n)
         _require_label("start", self.start, self.n)
 

@@ -17,8 +17,8 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .core import (
-    ParkingPreference, Permutation, Success, _require_ints, _require_label, _require_size, _Value, _Word,
-    inverse_position,
+    ParkingPreference, ParkOutcome, Permutation, Success, _require_ints, _require_label, _require_size,
+    _Value, _Word, inverse_position,
 )
 from .cycle import _rotation_size, _weighted_rotation_sum, increasing_word
 from .limits import _clip_word, _shown, ensure_sweep_within_cap
@@ -134,19 +134,21 @@ def perm_from_inv_seq(a: InversionSequence | Sequence[int]) -> Permutation:
     return Permutation(tuple(word))
 
 
-def _rotation_start(word: tuple[int, ...]) -> int | None:
-    """i when `word` is the increasing rotation from i, else None."""
-    i = word[0]
-    return i if word == increasing_word(i, len(word)) else None
+def _parked_rotation(p: ParkingPreference) -> tuple[ParkOutcome, int | None]:
+    """The classical outcome of `p`, from one simulation, and i when it is
+    the increasing rotation from i; None when it fails or is any other word."""
+    from .classical import classical_park
+
+    res = classical_park(p)
+    if isinstance(res, Success) and res.outcome.word == increasing_word(res.outcome.word[0], p.n):
+        return res, res.outcome.word[0]
+    return res, None
 
 
 def is_cyclic_pf(p: ParkingPreference) -> int | None:
     """Starting value i when the classical outcome is the increasing rotation
     from i; None when the process fails or parks in any other pattern."""
-    from .classical import classical_park
-
-    res = classical_park(p)
-    return _rotation_start(res.outcome.word) if isinstance(res, Success) else None
+    return _parked_rotation(p)[1]
 
 
 def cyclic_fibre_size(start: int, n: int) -> int:
@@ -170,16 +172,12 @@ def cyclic_total_count(n: int) -> int:
 def _psi(p: ParkingPreference) -> tuple[Success, Component, list[Component]]:
     """The classical outcome of `p`, its image under psi and every component
     of the host permutation, from one simulation and one decomposition."""
-    from .classical import classical_park
-
-    res = classical_park(p)
+    res, i = _parked_rotation(p)
     if not isinstance(res, Success):
         raise NotCyclicPreference(f"car {res.car} cannot park; not a parking function")
-    word = res.outcome.word
-    i = _rotation_start(word)
     if i is None:
         raise NotCyclicPreference(
-            f"outcome {_clip_word(word, format_word_compact)} is not an increasing cycle"
+            f"outcome {_clip_word(res.outcome.word, format_word_compact)} is not an increasing cycle"
         )
     comps = components(perm_from_inv_seq(res.displacement))
     # The components partition 1..n, so exactly one of them holds i.

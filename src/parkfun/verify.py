@@ -238,28 +238,27 @@ def cycle_suite(n_values: Iterable[int], *, force: bool = False) -> list[CheckRe
             )
         )
 
-        bad = []
+        closed_bad, run_bad = [], []
         for c, pi in rotations:
             closed = cycle_fibre_size(c)
             general = fibre_size(pi, cn)
             counted = brute[pi.word]
             if not closed == general == counted:
-                bad.append(f"{pi.word}: closed {closed}, product {general}, brute {counted}")
-        results.append(
-            _check(f"cycle-fibre-closed-forms n={n}", bad, f"all {2 * n} rotation fibres agree")
-        )
-
-        if n >= 4:
-            bad = []
-            for c, pi in rotations:
+                closed_bad.append(f"{pi.word}: closed {closed}, product {general}, brute {counted}")
+            if n >= 4:
                 for j, want in _expected_blocking_words(c).items():
                     got = blocking_sequence(j, pi, cn).elements
                     if got != want:
-                        bad.append(f"run for {j} in {pi.word}: {got} != {want}")
+                        run_bad.append(f"run for {j} in {pi.word}: {got} != {want}")
+        results.append(
+            _check(f"cycle-fibre-closed-forms n={n}", closed_bad, f"all {2 * n} rotation fibres agree")
+        )
+
+        if n >= 4:
             results.append(
                 _check(
                     f"cycle-blocking-run-shapes n={n}",
-                    bad,
+                    run_bad,
                     f"all runs match on {2 * n} rotations",
                 )
             )
@@ -287,33 +286,30 @@ def bijection_suite(n_values: Iterable[int], *, force: bool = False) -> list[Che
         perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
         comps = {pi.word: cyc.components(pi) for pi in perms}
 
-        bad = []
+        inversion_bad, decomposition_bad = [], []
         for pi in perms:
             if cyc.perm_from_inv_seq(cyc.inv_seq(pi)) != pi:
-                bad.append(f"{pi.word}")
+                inversion_bad.append(f"{pi.word}")
+            greedy = [(c.start, c.end) for c in comps[pi.word]]
+            if greedy != _brute_minimal_blocks(pi.word):
+                decomposition_bad.append(f"{pi.word}")
         comp_counts: dict[tuple[int, ...], int] = {}
         for entries in itertools.product(*(range(i) for i in range(1, n + 1))):
             perm = cyc.perm_from_inv_seq(entries)
             if cyc.inv_seq(perm).entries != entries:
-                bad.append(f"{entries}")
+                inversion_bad.append(f"{entries}")
             comp_counts[entries] = len(comps[perm.word])
         results.append(
             _check(
                 f"inversion-sequence-bijection n={n}",
-                bad,
+                inversion_bad,
                 f"{len(perms)} permutations both ways",
             )
         )
-
-        bad = []
-        for pi in perms:
-            greedy = [(c.start, c.end) for c in comps[pi.word]]
-            if greedy != _brute_minimal_blocks(pi.word):
-                bad.append(f"{pi.word}")
         results.append(
             _check(
                 f"component-decomposition n={n}",
-                bad,
+                decomposition_bad,
                 f"greedy cuts match minimal blocks on {len(perms)} permutations",
             )
         )

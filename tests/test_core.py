@@ -667,6 +667,13 @@ REFUSALS = {
         lambda: CyclicOutcome(Direction.INCREASING, 1, 2),
         "cycle outcomes need n >= 3",
     ),
+    # A direction is a member: a reader of one that tested for one member
+    # would take its name, or anything else, for the other.
+    "direction by its name": (
+        lambda: CyclicOutcome("increasing", 2, 5),
+        "direction 'increasing' is not a Direction",
+    ),
+    "direction None": (lambda: CyclicOutcome(None, 1, 4), "direction None is not a Direction"),
     "identity of no values": (lambda: identity_permutation(0), "permutation must be non-empty"),
     "all graphs of no vertices": (lambda: list(all_labelled_graphs(0)), "graph needs at least one vertex"),
     "lot of -1 spots": (lambda: LotState.empty(-1), "a lot needs n >= 0 spots"),
@@ -740,6 +747,7 @@ LONG_VALUES = {
     "long neighbor": (lambda: graph_generator("cycle", 3).neighbors(10 ** 4000), "vertex 1000"),
     "long car": (lambda: LotState((10 ** 4000, None)), "car 1000"),
     "long component": (lambda: Component(Permutation((1,)), 10 ** 4000, 10 ** 4000), "positions 1000"),
+    "long direction": (lambda: CyclicOutcome("x" * 100_000, 1, 4), "direction 'xxx"),
     "permutation value past the digit limit": (
         lambda: Permutation((10 ** 5000,)),
         "(an int of 5001 digits,) is not a permutation of [1, 1]",

@@ -368,3 +368,20 @@ def test_only_core_states_the_order_rule():
                 jumps.append(f"{path.stem}.{where}")
     assert messages == ["core._require_order"]
     assert sorted(jumps) == ["structure._leaves", "structure._run_starts"]
+
+
+def test_cyclic_parks_a_preference_in_one_place():
+    """`cyclic._parked_rotation` runs the classical process and reads the
+    start of its increasing rotation, for `is_cyclic_pf` and psi alike: no
+    other scope of `cyclic` names `classical_park`, and no module keeps a
+    rotation-start rule of its own."""
+    parkers, starts = set(), []
+    for path in PACKAGE.rglob("*.py"):
+        for node, where in _scoped(ast.parse(path.read_text())):
+            if path.stem == "cyclic" and (isinstance(node, ast.Name) and node.id == "classical_park"
+                                          or isinstance(node, ast.alias) and node.name == "classical_park"):
+                parkers.add(where)
+            if isinstance(node, ast.FunctionDef) and node.name == "_rotation_start":
+                starts.append(f"{path.stem}.{where}")
+    assert parkers == {"_parked_rotation"}
+    assert starts == []

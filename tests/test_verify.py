@@ -3,6 +3,7 @@ import types
 import pytest
 
 from parkfun import (
+    CyclicOutcome,
     Direction,
     FriendshipGraph,
     ParkingPreference,
@@ -182,6 +183,16 @@ def _first_cyclic_starts_at_2(real):
     return tampered
 
 
+def _start_2_read_backwards(real):
+    """`expand_cyclic`, with each rotation from 2 read in the other direction."""
+    other = {Direction.INCREASING: Direction.DECREASING, Direction.DECREASING: Direction.INCREASING}
+
+    def tampered(c):
+        return real(CyclicOutcome(other[c.direction], c.start, c.n) if c.start == 2 else c)
+
+    return tampered
+
+
 # One tamper per check, or per kind of discrepancy a check reports, that no
 # other test makes fail: the suite, its n, the name verify calls ("cyc." for
 # the cyclic module as verify sees it), a function of the real callable that
@@ -235,6 +246,17 @@ TAMPERS = [
         cycle_suite, 4, "blocking_sequence", _drop_last_of_runs_for_2,
         {"cycle-blocking-run-shapes n=4": "run for 2 in (1, 2, 3, 4): (1,) != (1, 2)"},
         id="cycle-blocking-run-shapes",
+    ),
+    # Two checks of one walk over the rotations, each with its own first
+    # discrepancy: the increasing outcome from 2 now expands to the
+    # decreasing word, whose fibre and runs are those of the other direction.
+    pytest.param(
+        cycle_suite, 4, "expand_cyclic", _start_2_read_backwards,
+        {
+            "cycle-fibre-closed-forms n=4": "(2, 1, 4, 3): closed 6, product 12, brute 12",
+            "cycle-blocking-run-shapes n=4": "run for 3 in (2, 1, 4, 3): (2, 1, 4, 3) != (2, 3)",
+        },
+        id="rotation-from-2-reversed",
     ),
     pytest.param(
         cycle_suite, 3, "blocking_sequence", _drop_last_of_runs_for_2,
