@@ -131,7 +131,11 @@ def has_hamiltonian_path(graph: FriendshipGraph) -> bool:
 
 
 def _blocks(word: Sequence[int], k: int, i: int, friends: frozenset[int]) -> bool:
-    """Does the value at word index k block car i, whose friend set is `friends`?"""
+    """Does the value at word index k block car i, whose friend set is `friends`?
+
+    This is the reference statement of the blocker rule, which `_run_start`
+    inlines for speed.
+    """
     if word[k] <= i:
         return True
     for kn in (k - 1, k + 1):
@@ -146,8 +150,11 @@ def _run_start(word: Sequence[int], k: int, pg: list[int], neighbors) -> int:
     pg[j] is the nearest index left of j whose value exceeds word[j], or -1.
     Every value smaller than i = word[k] blocks car i, so the scan jumps over
     each one, and the smaller values before it, to the next larger value; only
-    that one gets the neighbour test of `_blocks`. pg[:k] must be set; the
-    first jump sets pg[k].
+    that one gets the neighbour test of `_blocks`, inlined. A tested value
+    exceeds i, so `_blocks`' `word[j] <= i` test never holds, and it sits left
+    of index k, so its right neighbour always exists: it blocks iff that
+    neighbour, or for j > 0 its left one, is smaller than i and no friend of
+    i. pg[:k] must be set; the first jump sets pg[k].
     """
     i = word[k]
     friends = neighbors[i]
@@ -155,7 +162,10 @@ def _run_start(word: Sequence[int], k: int, pg: list[int], neighbors) -> int:
     while j >= 0 and word[j] < i:
         j = pg[j]
     pg[k] = j
-    while j >= 0 and _blocks(word, j, i, friends):
+    while j >= 0 and (
+        (word[j + 1] < i and word[j + 1] not in friends)
+        or (j and word[j - 1] < i and word[j - 1] not in friends)
+    ):
         j -= 1
         while j >= 0 and word[j] < i:
             j = pg[j]

@@ -147,6 +147,15 @@ class TestBlockingSequence:
             blocking_sequence(4, Permutation((4, 3, 2, 1)), FIG4)
 
 
+def _planted_path(seed, n):
+    """A seeded path on [n] planted in a graph with about 3n random chords,
+    the shape of the benchmark's `fibre_size` inputs."""
+    rng = random.Random(seed)
+    word = rng.sample(range(1, n + 1), n)
+    chords = [rng.sample(range(1, n + 1), 2) for _ in range(3 * n)]
+    return Permutation(tuple(word)), make_graph(n, [*zip(word, word[1:]), *chords])
+
+
 class TestFibreCharacterisation:
     def test_worked_example_sets(self):
         chi = fibre_characterisation(PI_FIG4, FIG4)
@@ -199,6 +208,25 @@ class TestFibreCharacterisation:
         monkeypatch.setattr(structure, "inverse_position", refuse)
         chi = fibre_characterisation(PI_FIG4, FIG4)
         assert chi.spot_sets == ((3, 3), (2, 5), (8, 8), (2, 6), (3, 4), (2, 7), (2, 2), (1, 1))
+
+    @pytest.mark.parametrize(
+        "perm, graph, work",
+        [
+            (
+                Permutation((*range(101, 201), *range(1, 101))),
+                graph_generator("cycle", 200),
+                (200, 99, 993),
+            ),
+            (*_planted_path(1, 300), (300, 1_517, 8_192)),
+        ],
+        ids=["cycle-200-rotation", "planted-300"],
+    )
+    def test_scan_work_per_characterisation(self, monkeypatch, perm, graph, work):
+        """Work, not time: one blocking-run scan per index, with its friend-set
+        tests and word reads. A scan stepping left one value at a time through
+        `_blocks` read the word 10,793 and 14,134 times, and one calling
+        `_blocks` at each larger value it jumped to, 1,289 and 9,911 times."""
+        assert _scan_work(monkeypatch, graph, lambda: fibre_characterisation(perm, graph)) == work
 
     @pytest.mark.parametrize("seed", range(5))
     def test_box_corners_on_large_random_graphs(self, seed):
@@ -302,6 +330,41 @@ def _calls_per_total(monkeypatch, name, graph):
     return calls
 
 
+def _scan_work(monkeypatch, graph, run):
+    """(calls, friend-set tests, word reads) of the `structure._run_start`
+    scans that `run()` makes on `graph`: each call gets a stand-in word that
+    counts its reads and stand-in neighbour sets that count `in`."""
+    work = [0, 0, 0]
+
+    class Friends(frozenset):
+        def __contains__(self, v):
+            work[1] += 1
+            return frozenset.__contains__(self, v)
+
+    class Word:
+        def __init__(self, word):
+            self.word = word
+
+        def __getitem__(self, j):
+            work[2] += 1
+            return self.word[j]
+
+        def __len__(self):
+            return len(self.word)
+
+    counted = tuple(map(Friends, graph._neighbors))
+    real = structure._run_start
+
+    def scan(word, k, pg, neighbors):
+        assert neighbors is graph._neighbors
+        work[0] += 1
+        return real(Word(word), k, pg, counted)
+
+    monkeypatch.setattr(structure, "_run_start", scan)
+    run()
+    return tuple(work)
+
+
 class TestTotalCount:
     def test_star_has_none(self):
         assert total_fpf_count(STAR) == 0
@@ -337,15 +400,18 @@ class TestTotalCount:
         assert total_fpf_count(graph_generator(kind, n)) == total
 
     @pytest.mark.parametrize(
-        "kind, n, tests",
-        [("path", 200, 199), ("cycle", 200, 78_807), ("complete", 7, 11_327)],
+        "kind, n, tests, reads",
+        [("path", 200, 0, 1_195), ("cycle", 200, 19_899, 395_422), ("complete", 7, 8_962, 67_429)],
     )
-    def test_neighbour_tests_per_total(self, monkeypatch, kind, n, tests):
-        """Work, not time: the number of neighbour tests a total makes is the
-        same on any machine. A scan stepping left one value at a time made
-        1,353,200, 2,765,108 and 31,003 of them, and a DFS that started the
-        path graph at every vertex 19,900."""
-        assert _calls_per_total(monkeypatch, "_blocks", graph_generator(kind, n)) == tests
+    def test_neighbour_tests_per_total(self, monkeypatch, kind, n, tests, reads):
+        """Work, not time: the friend-set tests and word reads of a total's
+        blocking-run scans are the same on any machine. A scan stepping left
+        one value at a time through `_blocks` made the same friend-set tests,
+        since a smaller value needs none, but read the word 20,896, 3,021,629
+        and 75,778 times; one calling `_blocks` at each larger value it jumped
+        to, 1,394, 493,337 and 78,756 times."""
+        graph = graph_generator(kind, n)
+        assert _scan_work(monkeypatch, graph, lambda: total_fpf_count(graph))[1:] == (tests, reads)
 
     @pytest.mark.parametrize(
         "kind, n, appends",
